@@ -38,9 +38,9 @@ namespace {
 /// mining.
 GraphDatabase LabelFeatures(int p) {
   GraphDatabase features;
-  for (LabelId r = 0; r < p; ++r) {
+  for (int r = 0; r < p; ++r) {
     Graph f;
-    f.AddVertex(r);
+    f.AddVertex(static_cast<LabelId>(r));
     features.push_back(f);
   }
   return features;

@@ -7,7 +7,8 @@
 //                           --json-out=FILE]
 //
 // Reports scan-kernel time (score every row, no ranking), full-ranking time
-// (scan + sort), the serving stage-3 path (scan + partial top-k), and a
+// (scan + sort), scan into doubles + partial top-k, the serving stage-3
+// path (fused integer scan + top-k, ScanTopK), and a
 // per-kernel section: every kernel this host supports runs the same
 // block-tiled multi-query batch scan, checked bit-for-bit against scalar
 // before timing, with speedups relative to scalar. --json-out writes the
@@ -19,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -66,7 +68,6 @@ void TiledBatchScan(const ScanKernel& kernel, const PackedBitMatrix& packed,
                     const std::vector<std::vector<uint64_t>>& queries,
                     std::vector<uint32_t>* diffs,
                     std::vector<double>* per_query_ms) {
-  constexpr int kBlockRows = 256;
   const int num_rows = packed.num_rows();
   const size_t words = packed.words_per_row();
   const int tile = kernel.tile_width();
@@ -74,15 +75,15 @@ void TiledBatchScan(const ScanKernel& kernel, const PackedBitMatrix& packed,
   diffs->resize(static_cast<size_t>(num_queries) * num_rows);
   per_query_ms->clear();
   std::vector<const uint64_t*> query_ptrs(static_cast<size_t>(tile));
-  std::vector<uint32_t> block(static_cast<size_t>(tile) * kBlockRows);
+  std::vector<uint32_t> block(static_cast<size_t>(tile) * kScanBlockRows);
   for (int q0 = 0; q0 < num_queries; q0 += tile) {
     WallTimer timer;
     const int nq = std::min(tile, num_queries - q0);
     for (int q = 0; q < nq; ++q) {
       query_ptrs[static_cast<size_t>(q)] = queries[q0 + q].data();
     }
-    for (int r0 = 0; r0 < num_rows; r0 += kBlockRows) {
-      const int nr = std::min(kBlockRows, num_rows - r0);
+    for (int r0 = 0; r0 < num_rows; r0 += kScanBlockRows) {
+      const int nr = std::min(kScanBlockRows, num_rows - r0);
       kernel.HammingBlockMulti(query_ptrs.data(), nq, packed.row(r0), words,
                                nr, block.data());
       for (int q = 0; q < nq; ++q) {
@@ -129,7 +130,21 @@ int Main(int argc, char** argv) {
 
   double byte_scan_s = 1e30, packed_scan_s = 1e30;
   double byte_rank_s = 1e30, packed_rank_s = 1e30, packed_topk_s = 1e30;
+  double fused_topk_s = 1e30;
   std::vector<double> scores;
+  std::vector<int> row_ids(static_cast<size_t>(n));
+  std::iota(row_ids.begin(), row_ids.end(), 0);
+  const auto fused_topk = [&](const std::vector<uint64_t>& q) {
+    const uint64_t* ptr = q.data();
+    HammingTopK selector(k, n);
+    ScanTopK(packed, &ptr, 1, nullptr, 0, &selector);
+    return selector.Ranked(p, row_ids);
+  };
+  for (const auto& q : packed_queries) {
+    packed.ScoreAll(q, &scores);
+    GDIM_CHECK(fused_topk(q) == TopKByScores(scores, k))
+        << "fused integer top-k diverged from scoring + TopKByScores";
+  }
   double sink = 0.0;  // defeat dead-code elimination
   for (int rep = 0; rep < repeat; ++rep) {
     WallTimer timer;
@@ -160,6 +175,10 @@ int Main(int argc, char** argv) {
       sink += TopKByScores(scores, k)[0].score;
     }
     packed_topk_s = std::min(packed_topk_s, timer.Seconds());
+
+    timer.Reset();
+    for (const auto& q : packed_queries) sink += fused_topk(q)[0].score;
+    fused_topk_s = std::min(fused_topk_s, timer.Seconds());
   }
 
   const double qn = static_cast<double>(num_queries);
@@ -173,6 +192,10 @@ int Main(int argc, char** argv) {
               "%.1fx vs byte ranking)\n",
               packed_topk_s / qn * 1e6, qn / packed_topk_s,
               byte_rank_s / packed_topk_s);
+  std::printf("fused integer topk:  %8.1f us/query  (%.0f qps, "
+              "%.1fx vs scan + topk)\n",
+              fused_topk_s / qn * 1e6, qn / fused_topk_s,
+              packed_topk_s / fused_topk_s);
 
   // Multi-query kernel shoot-out: every kernel this host supports runs the
   // same block-tiled batch scan. Bit-identity against scalar is asserted on
@@ -251,9 +274,9 @@ int Main(int argc, char** argv) {
     // (bench_approx_workload gates the clustered case); the point tracks
     // the QPS ratio and recall over time.
     PersistedIndex index;
-    for (LabelId r = 0; r < p; ++r) {
+    for (int r = 0; r < p; ++r) {
       Graph feature;
-      feature.AddVertex(r);
+      feature.AddVertex(static_cast<LabelId>(r));
       index.features.push_back(feature);
     }
     index.db_bits = rows;

@@ -18,6 +18,19 @@
 
 #include <immintrin.h>
 
+// GCC 12 reports -Wmaybe-uninitialized inside its own avx512fintrin.h
+// wherever the unpack intrinsics of RowSums8 are inlined: their unmasked
+// forms pass _mm512_undefined_epi32() — a deliberate self-initialized
+// "don't care" operand — as the pass-through of the masked builtin, and the
+// full mask means it is never read. The diagnostic is a false positive about
+// the header's idiom, not this file's data; silencing it changes no
+// generated code. Scoped to this kernel's body, GCC only (clang has no such
+// warning here and would flag the unknown option).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 namespace gdim {
 
 namespace {
@@ -181,6 +194,10 @@ const ScanKernel* Avx512ScanKernelOrNull() {
 }
 
 }  // namespace gdim
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #else  // compiler cannot target the AVX-512 subset the kernel needs
 

@@ -8,6 +8,11 @@
 
 namespace gdim {
 
+/// Rows per scan-kernel call: 256 rows of up to a few hundred words keeps
+/// the block plus the diff scratch comfortably inside L2 while amortizing
+/// the virtual dispatch to nothing.
+inline constexpr int kScanBlockRows = 256;
+
 /// A binary n×p matrix packed row-major into 64-bit words, the scan layout of
 /// the online query path: one database graph's mapped vector per row, rows
 /// padded to a whole number of words so every row scan is an aligned
@@ -19,7 +24,9 @@ namespace gdim {
 ///
 /// Distances computed here are bit-identical to the byte-vector reference
 /// (BinaryMappedDistance): the Hamming count is exact and the normalized form
-/// evaluates the same sqrt(diff / p) expression.
+/// evaluates the same sqrt(diff / p) expression. The serving scan never
+/// converts per row: it selects the top k on the kernel's uint32 counts
+/// (ScanTopK in core/topk.h) and takes the sqrt of the k survivors only.
 class PackedBitMatrix {
  public:
   PackedBitMatrix() = default;
@@ -102,30 +109,11 @@ class PackedBitMatrix {
                             int row_id) const;
 
   /// Scores every row against the packed query into *scores (resized to
-  /// num_rows()). The full-scan kernel of the serving hot path.
+  /// num_rows()) on the process's ActiveScanKernel(), in cache-resident row
+  /// blocks; every kernel is bit-identical to scalar. The ranking reference
+  /// (MappedRanking) — serving selects on integer counts instead.
   void ScoreAll(const std::vector<uint64_t>& query,
                 std::vector<double>* scores) const;
-
-  /// ScoreAll into a caller-owned buffer of num_rows() doubles, so a
-  /// multi-segment engine can scan base + delta into one score vector
-  /// without a concatenating copy. Runs on the process's ActiveScanKernel()
-  /// in cache-resident row blocks; every kernel is bit-identical to scalar
-  /// (exact integer Hamming counts, one shared sqrt(diff/p) conversion).
-  void ScoreAllInto(const std::vector<uint64_t>& query, double* out) const;
-
-  /// Multi-query ScoreAllInto: scores num_queries packed queries (each
-  /// words_per_row() words, from PackQuery) in one pass over the rows —
-  /// outs[q][i] gets row i's score against queries[q]. The block-tiled
-  /// batch-scan kernel: a row block is loaded once and XORed against every
-  /// query while cache-resident, instead of once per query.
-  void ScoreAllMultiInto(const uint64_t* const* queries, int num_queries,
-                         double* const* outs) const;
-
-  /// Scores only the given rows, writing scores[j] for candidates[j]
-  /// (*scores resized to candidates.size()). The post-prefilter kernel.
-  void ScoreSubset(const std::vector<uint64_t>& query,
-                   const std::vector<int>& candidates,
-                   std::vector<double>* scores) const;
 
  private:
   int num_rows_ = 0;

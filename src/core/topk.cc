@@ -1,9 +1,12 @@
 #include "core/topk.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/parallel.h"
+#include "core/kernels/scan_kernel.h"
 #include "core/objective.h"
 
 namespace gdim {
@@ -28,29 +31,10 @@ Ranking MakeRanking(const std::vector<double>& scores) {
   return r;
 }
 
-/// Unsorted ranking over an explicit candidate id set.
-Ranking MakeRanking(const std::vector<int>& ids,
-                    const std::vector<double>& scores) {
-  GDIM_CHECK(ids.size() == scores.size()) << "candidate/score size mismatch";
-  Ranking r;
-  r.reserve(ids.size());
-  for (size_t j = 0; j < ids.size(); ++j) {
-    r.push_back(RankedResult{ids[j], scores[j]});
-  }
-  return r;
-}
-
 }  // namespace
 
 Ranking RankByScores(const std::vector<double>& scores) {
   Ranking r = MakeRanking(scores);
-  std::sort(r.begin(), r.end(), RankedBefore);
-  return r;
-}
-
-Ranking RankCandidates(const std::vector<int>& ids,
-                       const std::vector<double>& scores) {
-  Ranking r = MakeRanking(ids, scores);
   std::sort(r.begin(), r.end(), RankedBefore);
   return r;
 }
@@ -74,9 +58,68 @@ Ranking TopKByScores(const std::vector<double>& scores, int k) {
   return SelectTopK(MakeRanking(scores), k);
 }
 
-Ranking TopKCandidates(const std::vector<int>& ids,
-                       const std::vector<double>& scores, int k) {
-  return SelectTopK(MakeRanking(ids, scores), k);
+HammingTopK::HammingTopK(int k, int max_rows)
+    : k_(static_cast<size_t>(std::max(k, 0))),
+      threshold_(k > 0 ? std::numeric_limits<uint32_t>::max() : 0) {
+  heap_.reserve(std::min(k_, static_cast<size_t>(std::max(max_rows, 0))));
+}
+
+void HammingTopK::Admit(uint32_t dist, int row) {
+  if (heap_.size() < k_) {
+    heap_.push_back(Entry{dist, row});
+    std::push_heap(heap_.begin(), heap_.end());
+    if (heap_.size() < k_) return;
+  } else {
+    // Full: the offered row beats the worst kept one; replace it.
+    std::pop_heap(heap_.begin(), heap_.end());
+    heap_.back() = Entry{dist, row};
+    std::push_heap(heap_.begin(), heap_.end());
+  }
+  threshold_ = heap_.front().dist;
+}
+
+Ranking HammingTopK::Ranked(int num_bits,
+                            const std::vector<int>& row_ids) const {
+  std::vector<Entry> kept = heap_;
+  std::sort(kept.begin(), kept.end());
+  Ranking top;
+  top.reserve(kept.size());
+  const double p = static_cast<double>(num_bits);
+  for (const Entry& e : kept) {
+    const double score =
+        num_bits == 0 ? 0.0 : std::sqrt(static_cast<double>(e.dist) / p);
+    top.push_back(RankedResult{row_ids[static_cast<size_t>(e.row)], score});
+  }
+  return top;
+}
+
+void ScanTopK(const PackedBitMatrix& rows, const uint64_t* const* queries,
+              int num_queries, const uint8_t* skip, int first_row,
+              HammingTopK* selectors) {
+  const int num_rows = rows.num_rows();
+  if (num_queries <= 0 || num_rows == 0) return;
+  const ScanKernel& kernel = ActiveScanKernel();
+  const size_t words = rows.words_per_row();
+  std::vector<uint32_t> diffs(static_cast<size_t>(num_queries) *
+                              kScanBlockRows);
+  for (int begin = 0; begin < num_rows; begin += kScanBlockRows) {
+    const int block = std::min(kScanBlockRows, num_rows - begin);
+    // Zero-width rows are all at distance 0 (diffs stays zeroed); the
+    // kernels are never asked to scan zero words.
+    if (words > 0) {
+      kernel.HammingBlockMulti(queries, num_queries, rows.row(begin), words,
+                               block, diffs.data());
+    }
+    const uint8_t* block_skip = skip == nullptr ? nullptr : skip + begin;
+    for (int q = 0; q < num_queries; ++q) {
+      HammingTopK& selector = selectors[q];
+      const uint32_t* d = diffs.data() + static_cast<size_t>(q) * block;
+      for (int i = 0; i < block; ++i) {
+        if (block_skip != nullptr && block_skip[i] != 0) continue;
+        selector.Offer(d[i], first_row + begin + i);
+      }
+    }
+  }
 }
 
 Ranking ExactRanking(const Graph& query, const GraphDatabase& db,

@@ -29,22 +29,68 @@ using Ranking = std::vector<RankedResult>;
 /// Ranks all database graphs by a precomputed score vector; ascending.
 Ranking RankByScores(const std::vector<double>& scores);
 
-/// Ranks an explicit candidate id set by its score vector (scores[j] scores
-/// ids[j]); same ascending score-then-id total order as RankByScores. Used
-/// after a prefilter has narrowed the scan set.
-Ranking RankCandidates(const std::vector<int>& ids,
-                       const std::vector<double>& scores);
-
 /// First k of RankByScores(scores) without sorting the whole database:
 /// nth_element partial selection plus a sort of the k survivors, with the
 /// identical score-then-id tie-break, so the output equals
 /// TopK(RankByScores(scores), k) entry for entry.
 Ranking TopKByScores(const std::vector<double>& scores, int k);
 
-/// Partial-selection counterpart for explicit candidate sets: equals
-/// TopK(RankCandidates(ids, scores), k) without sorting all candidates.
-Ranking TopKCandidates(const std::vector<int>& ids,
-                       const std::vector<double>& scores, int k);
+/// Bounded top-k over integer (Hamming distance, physical row) pairs: the
+/// selection half of the serving scan, which never materializes a score
+/// per row. Rows must be offered in strictly ascending order. A max-heap of
+/// at most k entries keeps the k smallest pairs; since a newly offered row
+/// is larger than every kept one, it belongs in the top k iff its distance
+/// is strictly below the worst kept distance — one compare against
+/// that threshold rejects everything else, and a tie never displaces an
+/// earlier row.
+///
+/// sqrt(d / p) is strictly monotone in the integer d, so ordering by
+/// (d, row) is ordering by (score, row); whenever external ids ascend with
+/// physical rows (as every engine guarantees) Ranked() equals
+/// TopK(RankByScores(scores), k) over the offered rows, bit for bit.
+class HammingTopK {
+ public:
+  /// k <= 0 keeps nothing. max_rows bounds how many rows will be offered;
+  /// it caps the heap reservation, so a huge k allocates nothing extra.
+  HammingTopK(int k, int max_rows);
+
+  void Offer(uint32_t dist, int row) {
+    if (dist < threshold_) Admit(dist, row);
+  }
+
+  /// The survivors ascending by (distance, row), each converted once to
+  /// RankedResult{row_ids[row], sqrt(distance / num_bits)} (score 0 when
+  /// num_bits is 0, like PackedBitMatrix::NormalizedDistance).
+  Ranking Ranked(int num_bits, const std::vector<int>& row_ids) const;
+
+ private:
+  struct Entry {
+    uint32_t dist;
+    int row;
+
+    friend bool operator<(const Entry& a, const Entry& b) {
+      return a.dist != b.dist ? a.dist < b.dist : a.row < b.row;
+    }
+  };
+
+  void Admit(uint32_t dist, int row);
+
+  size_t k_;
+  /// Offered distances strictly below this enter: the worst kept distance
+  /// once k rows are kept, no limit before, and 0 (nothing) when k is 0.
+  uint32_t threshold_;
+  std::vector<Entry> heap_;  ///< max-heap by (dist, row)
+};
+
+/// The fused scan + select: scores every row of `rows` against num_queries
+/// packed queries (PackQuery form) on ActiveScanKernel(), kScanBlockRows
+/// rows per kernel call, and offers row i to selectors[q] as physical row
+/// first_row + i — unless skip != nullptr and skip[i] != 0 (tombstones).
+/// Distances live only in one num_queries x kScanBlockRows block of
+/// scratch; nothing proportional to the row count is allocated.
+void ScanTopK(const PackedBitMatrix& rows, const uint64_t* const* queries,
+              int num_queries, const uint8_t* skip, int first_row,
+              HammingTopK* selectors);
 
 /// Exact ranking of db against query by MCS-based dissimilarity. This is the
 /// costly reference path (the "Exact" algorithm of Exp-4/Exp-6).

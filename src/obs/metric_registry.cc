@@ -46,7 +46,7 @@ const std::vector<double>& StageLatencyBucketBoundsUsec() {
   static const std::vector<double> kBounds = {
       1,     2,     5,      10,     25,     50,      100,     250,    500,
       1000,  2500,  5000,   10000,  25000,  50000,   100000,  250000, 500000,
-      1000000, 2500000};
+      1000000, 2500000, 5000000, 10000000, 30000000, 60000000};
   return kBounds;
 }
 

@@ -50,9 +50,10 @@ inline constexpr char kStageReindexBuild[] = "reindex_build";
 inline constexpr char kStageReindexSwap[] = "reindex_swap";
 
 /// The fixed bucket layout every stage histogram uses: exponential-ish
-/// upper bounds in microseconds from 1us to 2.5s (an implicit +Inf bucket
-/// catches the rest). Integral values only, so the exposition text renders
-/// them exactly.
+/// upper bounds in microseconds from 1us to 60s (an implicit +Inf bucket
+/// catches the rest). The 5s..60s tail keeps multi-second stages such as
+/// a REINDEX build out of +Inf. Integral values only, so the exposition
+/// text renders them exactly.
 const std::vector<double>& StageLatencyBucketBoundsUsec();
 
 /// Monotonically increasing event count. Lock-free; relaxed atomics — each

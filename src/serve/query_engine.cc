@@ -15,15 +15,6 @@
 
 namespace gdim {
 
-namespace {
-
-/// Sentinel score for tombstoned rows on the full-scan path. Real scores are
-/// finite (sqrt(diff/p) ∈ [0, 1]), so the sentinel sorts strictly last and
-/// can never displace a live row from the top-k.
-constexpr double kRemovedScore = std::numeric_limits<double>::infinity();
-
-}  // namespace
-
 Result<QueryEngine> QueryEngine::FromIndex(PersistedIndex index,
                                            ServeOptions options) {
   const size_t p = index.features.size();
@@ -447,13 +438,9 @@ std::vector<int> QueryEngine::PrefilterCandidateRows(
 Ranking QueryEngine::QueryMappedCandidates(
     const std::vector<uint8_t>& fingerprint, const QueryOptions& options,
     const std::vector<int>& candidate_rows, ServeQueryStats* stats) const {
-  const int k = std::max(options.k, 0);
   WallTimer timer;
-  const std::vector<uint64_t> packed_query = base_->PackQuery(fingerprint);
-  std::vector<double> scores;
-  ScoreRows(packed_query, candidate_rows, &scores);
-  Ranking top = TopKCandidates(candidate_rows, scores, k);
-  for (RankedResult& r : top) r.id = row_ids_[static_cast<size_t>(r.id)];
+  Ranking top = CandidateTopK(base_->PackQuery(fingerprint), candidate_rows,
+                              std::max(options.k, 0));
   if (stats != nullptr) {
     stats->latency_ms = timer.Millis();
     int features_on = 0;
@@ -476,20 +463,39 @@ std::vector<int> QueryEngine::PrefilterCandidates(
   return IntersectSupports(std::move(lists));
 }
 
-void QueryEngine::ScoreRows(const std::vector<uint64_t>& packed_query,
-                            const std::vector<int>& rows,
-                            std::vector<double>* scores) const {
-  // Candidate lists are ascending, so base rows form a prefix and delta
-  // rows a suffix; score in place (no per-query candidate-list copies).
-  scores->resize(rows.size());
+std::vector<Ranking> QueryEngine::FullTopK(const uint64_t* const* queries,
+                                           int count, int k) const {
+  // Base rows, then delta rows: physical rows ascend across the two scans,
+  // as HammingTopK requires. Tombstones are skipped inside the block loop.
   const int base_n = base_->num_rows();
-  for (size_t j = 0; j < rows.size(); ++j) {
-    const int row = rows[j];
-    (*scores)[j] =
-        row < base_n
-            ? base_->NormalizedDistance(packed_query, row)
-            : delta_.NormalizedDistance(packed_query, row - base_n);
+  const uint8_t* skip = num_tombstones_ > 0 ? tombstones_.data() : nullptr;
+  std::vector<HammingTopK> selectors(static_cast<size_t>(count),
+                                     HammingTopK(k, alive_));
+  ScanTopK(*base_, queries, count, skip, 0, selectors.data());
+  ScanTopK(delta_, queries, count, skip == nullptr ? nullptr : skip + base_n,
+           base_n, selectors.data());
+  std::vector<Ranking> results;
+  results.reserve(static_cast<size_t>(count));
+  for (const HammingTopK& selector : selectors) {
+    results.push_back(selector.Ranked(num_features(), row_ids_));
   }
+  return results;
+}
+
+Ranking QueryEngine::CandidateTopK(const std::vector<uint64_t>& packed_query,
+                                   const std::vector<int>& rows,
+                                   int k) const {
+  // Candidate lists are ascending and live, so base rows form a prefix and
+  // delta rows a suffix, offered in the order HammingTopK requires.
+  HammingTopK selector(k, static_cast<int>(rows.size()));
+  const int base_n = base_->num_rows();
+  for (const int row : rows) {
+    const int dist =
+        row < base_n ? base_->HammingDistance(packed_query, row)
+                     : delta_.HammingDistance(packed_query, row - base_n);
+    selector.Offer(static_cast<uint32_t>(dist), row);
+  }
+  return selector.Ranked(num_features(), row_ids_);
 }
 
 Ranking QueryEngine::Query(const Graph& query, const QueryOptions& options,
@@ -547,31 +553,19 @@ Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
     ivf_probe_usec = probe_timer.Micros();
   }
 
-  // Stage 3: popcount distance scan (narrowed or full) + deterministic rank.
-  // Rankings are computed over physical rows, then mapped to external ids;
-  // row order is ascending-id, so the score-then-id tie-break is preserved.
+  // Stage 3: fused popcount scan + integer top-k (narrowed or full).
+  // Selection runs over physical rows, which ascend with external ids, so
+  // the score-then-id tie-break is preserved.
   Ranking top;
   int scanned;
-  std::vector<double> scores;
   if (prefiltered || approx) {
-    ScoreRows(packed_query, candidates, &scores);
-    top = TopKCandidates(candidates, scores, k);
+    top = CandidateTopK(packed_query, candidates, k);
     scanned = static_cast<int>(candidates.size());
   } else {
-    scores.resize(static_cast<size_t>(total_rows()));
-    base_->ScoreAllInto(packed_query, scores.data());
-    delta_.ScoreAllInto(packed_query, scores.data() + base_->num_rows());
-    if (num_tombstones_ > 0) {
-      for (size_t row = 0; row < scores.size(); ++row) {
-        if (tombstones_[row] != 0) scores[row] = kRemovedScore;
-      }
-    }
-    top = TopKByScores(scores, k);
-    // Tombstone sentinels can only appear when k exceeds the live count.
-    while (!top.empty() && top.back().score == kRemovedScore) top.pop_back();
+    const uint64_t* query = packed_query.data();
+    top = std::move(FullTopK(&query, 1, k).front());
     scanned = total_rows();
   }
-  for (RankedResult& r : top) r.id = row_ids_[static_cast<size_t>(r.id)];
 
   if (stats != nullptr) {
     stats->latency_ms = timer.Millis();
@@ -629,53 +623,19 @@ std::vector<Ranking> QueryEngine::QueryMappedTile(
     const QueryOptions& options, std::vector<ServeQueryStats>* stats) const {
   const int k = std::max(options.k, 0);
   WallTimer timer;
-  std::vector<Ranking> results(static_cast<size_t>(std::max(count, 0)));
   if (stats != nullptr) {
     stats->assign(static_cast<size_t>(std::max(count, 0)),
                   ServeQueryStats{});
   }
-  if (count <= 0) return results;
+  if (count <= 0) return {};
 
-  const int total = total_rows();
   std::vector<std::vector<uint64_t>> packed(static_cast<size_t>(count));
   std::vector<const uint64_t*> query_ptrs(static_cast<size_t>(count));
   for (int q = 0; q < count; ++q) {
-    packed[static_cast<size_t>(q)] =
-        base_->PackQuery(fingerprints[q]);
-    query_ptrs[static_cast<size_t>(q)] =
-        packed[static_cast<size_t>(q)].data();
+    packed[static_cast<size_t>(q)] = base_->PackQuery(fingerprints[q]);
+    query_ptrs[static_cast<size_t>(q)] = packed[static_cast<size_t>(q)].data();
   }
-  // One score column per query; base and delta fill disjoint row ranges of
-  // every column, exactly like the single-query full-scan path.
-  std::vector<std::vector<double>> scores(
-      static_cast<size_t>(count),
-      std::vector<double>(static_cast<size_t>(total)));
-  std::vector<double*> outs(static_cast<size_t>(count));
-  for (int q = 0; q < count; ++q) {
-    outs[static_cast<size_t>(q)] = scores[static_cast<size_t>(q)].data();
-  }
-  base_->ScoreAllMultiInto(query_ptrs.data(), count, outs.data());
-  if (delta_.num_rows() > 0) {
-    std::vector<double*> delta_outs(static_cast<size_t>(count));
-    for (int q = 0; q < count; ++q) {
-      delta_outs[static_cast<size_t>(q)] =
-          outs[static_cast<size_t>(q)] + base_->num_rows();
-    }
-    delta_.ScoreAllMultiInto(query_ptrs.data(), count, delta_outs.data());
-  }
-
-  for (int q = 0; q < count; ++q) {
-    std::vector<double>& column = scores[static_cast<size_t>(q)];
-    if (num_tombstones_ > 0) {
-      for (size_t row = 0; row < column.size(); ++row) {
-        if (tombstones_[row] != 0) column[row] = kRemovedScore;
-      }
-    }
-    Ranking top = TopKByScores(column, k);
-    while (!top.empty() && top.back().score == kRemovedScore) top.pop_back();
-    for (RankedResult& r : top) r.id = row_ids_[static_cast<size_t>(r.id)];
-    results[static_cast<size_t>(q)] = std::move(top);
-  }
+  std::vector<Ranking> results = FullTopK(query_ptrs.data(), count, k);
 
   if (stats != nullptr) {
     const double tile_ms = timer.Millis();
@@ -685,7 +645,7 @@ std::vector<Ranking> QueryEngine::QueryMappedTile(
       int features_on = 0;
       for (uint8_t b : fingerprints[q]) features_on += b != 0 ? 1 : 0;
       s.features_on = features_on;
-      s.scanned = total;
+      s.scanned = total_rows();
       s.prefiltered = false;
     }
   }

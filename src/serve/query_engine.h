@@ -133,7 +133,10 @@ PersistedIvf PersistIvf(const IvfIndex& ivf,
 /// layout, and answers batched top-k queries through a three-stage hot path —
 ///   1. fingerprint the query onto the selected dimension (VF2 matching),
 ///   2. optionally prefilter candidates via the feature inverted lists,
-///   3. popcount-Hamming distance scan over the packed bit matrices.
+///   3. popcount-Hamming distance scan over the packed bit matrices, fused
+///      with the top-k selection: a bounded heap per query selects on the
+///      kernel's uint32 counts inside the row-block loop, and only the k
+///      survivors are converted to sqrt(d / p) scores.
 /// No MCS computation and no graph algorithm other than stage 1 runs at
 /// query time, which is the paper's whole online-search proposition.
 ///
@@ -340,9 +343,10 @@ class QueryEngine {
 
   /// Full-scan stage 3 for a contiguous tile of `count` pre-mapped
   /// fingerprints, scored together: every row block is loaded once and
-  /// XORed against all `count` queries while cache-resident (the
-  /// multi-query kernel path behind QueryBatch and the sharded engine's
-  /// QueryMappedBatch). results[q] / (*stats)[q] correspond to
+  /// XORed against all `count` queries while cache-resident, and each
+  /// query's top-k heap consumes the block's counts before the next block
+  /// is scanned (the multi-query path behind QueryBatch and the sharded
+  /// engine's QueryMappedBatch). results[q] / (*stats)[q] correspond to
   /// fingerprints[q]; each equals QueryMapped(fingerprints[q],
   /// {.k = options.k, .scan_mode = ScanMode::kFull}) bit for bit. Per-query
   /// latency_ms reports the tile's wall time (each query waited for the
@@ -368,10 +372,17 @@ class QueryEngine {
   std::vector<int> PrefilterCandidates(
       const std::vector<uint8_t>& fingerprint) const;
 
-  /// Stage-3 subset scan across both segments (prefiltered path).
-  void ScoreRows(const std::vector<uint64_t>& packed_query,
-                 const std::vector<int>& rows,
-                 std::vector<double>* scores) const;
+  /// Stage 3 over every live row for `count` packed queries at once: the
+  /// fused scan + integer top-k (ScanTopK) over base then delta, tombstones
+  /// skipped in the block loop. results[q] answers queries[q]; scratch is
+  /// O(k + count × kScanBlockRows), nothing proportional to the rows.
+  std::vector<Ranking> FullTopK(const uint64_t* const* queries, int count,
+                                int k) const;
+
+  /// Stage 3 over an ascending list of live candidate rows (the prefilter
+  /// intersection or the IVF probe pool), selected on integer distances.
+  Ranking CandidateTopK(const std::vector<uint64_t>& packed_query,
+                        const std::vector<int>& rows, int k) const;
 
   ServeOptions options_;
   FeatureMapper mapper_{GraphDatabase{}};

@@ -58,6 +58,26 @@ TEST(MetricRegistryTest, HistogramBucketMath) {
   EXPECT_EQ(cumulative.back(), 4u);  // +Inf == count
 }
 
+// A 3 s stage (a REINDEX build, say) must land in the 5 s bucket, not
+// +Inf: the bounds reach 60 s so multi-second stages keep a finite reading.
+TEST(MetricRegistryTest, MultiSecondSamplesLandInFiniteBuckets) {
+  MetricRegistry registry;
+  LatencyHistogram* h = registry.GetHistogram("gdim_slow_usec", "slow");
+  h->Record(3e6);
+  const std::string text = registry.ExpositionText();
+  EXPECT_NE(text.find("gdim_slow_usec_bucket{le=\"2500000\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("gdim_slow_usec_bucket{le=\"5000000\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("gdim_slow_usec_bucket{le=\"60000000\"} 1\n"),
+            std::string::npos);
+  // The overflow (+Inf) cell itself stays empty.
+  const BucketHistogram snapshot = h->Snapshot();
+  ASSERT_EQ(snapshot.upper_bounds().back(), 60e6);
+  EXPECT_EQ(snapshot.count(), 1u);
+  EXPECT_EQ(snapshot.bucket_counts().back(), 0u);
+}
+
 TEST(MetricRegistryTest, MergeFoldsPreBinnedSamples) {
   MetricRegistry registry;
   LatencyHistogram* h = registry.GetHistogram("gdim_test_usec", "merge");

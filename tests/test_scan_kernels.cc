@@ -14,10 +14,11 @@
 #include "common/random.h"
 #include "common/sync.h"
 #include "core/kernels/scan_kernel.h"
-#include "core/objective.h"
 #include "core/packed_bits.h"
+#include "core/topk.h"
 #include "gtest/gtest.h"
 #include "serve/query_engine.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -212,36 +213,146 @@ TEST(ScanKernelTest, DegenerateShapes) {
   }
 }
 
-// ScoreAllMultiInto (the engine-facing tiled entry point) must agree with
-// per-row NormalizedDistance on whatever kernel the process is running —
-// including when the matrix has tombstone-style all-zero and duplicate rows.
-TEST(ScanKernelTest, ScoreAllMultiMatchesPerRowScores) {
+// The fused scan + integer select (the engine-facing entry point) against
+// brute force on whatever kernel the process runs: tie-heavy rows, skipped
+// (tombstoned) rows, widths on and off word boundaries including zero, row
+// counts around the block size, and query counts around the tile widths.
+TEST(ScanKernelTest, FusedScanTopKMatchesBruteForceAcrossShapes) {
   Rng rng(31337);
-  const int num_bits = 257;
-  auto rows = RandomBitRows(60, num_bits, 0.3, &rng);
-  rows[7] = std::vector<uint8_t>(static_cast<size_t>(num_bits), 0);
-  rows[8] = rows[9];  // exact tie
-  const PackedBitMatrix matrix = PackedBitMatrix::FromRows(rows, num_bits);
-  const auto raw_queries = RandomBitRows(5, num_bits, 0.3, &rng);
-  std::vector<std::vector<uint64_t>> packed;
-  std::vector<const uint64_t*> query_ptrs;
-  for (const auto& q : raw_queries) packed.push_back(matrix.PackQuery(q));
-  for (const auto& q : packed) query_ptrs.push_back(q.data());
-  std::vector<std::vector<double>> scores(
-      5, std::vector<double>(static_cast<size_t>(matrix.num_rows())));
-  std::vector<double*> outs;
-  for (auto& s : scores) outs.push_back(s.data());
-  matrix.ScoreAllMultiInto(query_ptrs.data(), 5, outs.data());
-  for (int q = 0; q < 5; ++q) {
-    for (int r = 0; r < matrix.num_rows(); ++r) {
-      EXPECT_EQ(scores[static_cast<size_t>(q)][static_cast<size_t>(r)],
-                matrix.NormalizedDistance(packed[static_cast<size_t>(q)], r))
-          << "q=" << q << " r=" << r;
-      EXPECT_EQ(scores[static_cast<size_t>(q)][static_cast<size_t>(r)],
-                BinaryMappedDistance(raw_queries[static_cast<size_t>(q)],
-                                     rows[static_cast<size_t>(r)]))
-          << "q=" << q << " r=" << r;
+  for (const int num_bits : {0, 1, 63, 64, 65, 130, 517}) {
+    for (const int num_rows : {0, 1, 255, 256, 257, 530}) {
+      const auto rows = testing_util::TieHeavyRows(num_rows, num_bits, &rng);
+      const PackedBitMatrix matrix = PackedBitMatrix::FromRows(rows, num_bits);
+      std::vector<uint8_t> skip(static_cast<size_t>(num_rows), 0);
+      testing_util::LiveRows live;
+      for (int r = 0; r < num_rows; ++r) {
+        skip[static_cast<size_t>(r)] = rng.UniformU64(5) == 0 ? 1 : 0;
+        if (skip[static_cast<size_t>(r)] == 0) {
+          live[r] = rows[static_cast<size_t>(r)];
+        }
+      }
+      std::vector<int> row_ids(static_cast<size_t>(num_rows));
+      for (int r = 0; r < num_rows; ++r) row_ids[static_cast<size_t>(r)] = r;
+      for (const int num_queries : {1, 3, 9}) {
+        const auto raw = RandomBitRows(num_queries, num_bits, 0.4, &rng);
+        std::vector<std::vector<uint64_t>> packed;
+        std::vector<const uint64_t*> ptrs;
+        packed.reserve(raw.size());
+        ptrs.reserve(raw.size());
+        for (const auto& q : raw) packed.push_back(matrix.PackQuery(q));
+        for (const auto& q : packed) ptrs.push_back(q.data());
+        for (const int k : testing_util::BoundaryKs(live)) {
+          std::vector<HammingTopK> selectors(
+              static_cast<size_t>(num_queries), HammingTopK(k, num_rows));
+          ScanTopK(matrix, ptrs.data(), num_queries, skip.data(), 0,
+                   selectors.data());
+          for (size_t q = 0; q < raw.size(); ++q) {
+            const Ranking expected =
+                testing_util::BruteForceTopK(raw[q], live, k);
+            EXPECT_EQ(selectors[q].Ranked(num_bits, row_ids), expected)
+                << "p=" << num_bits << " rows=" << num_rows << " q=" << q
+                << " k=" << k;
+          }
+        }
+      }
     }
+  }
+}
+
+/// Every engine scan path for one query set, against brute force: the
+/// tiled batch path, the single-query full path, and the IVF candidate
+/// path at NPROBE=all (which prunes nothing, so it must also be exact).
+void ExpectEngineMatchesBruteForce(
+    const QueryEngine& engine,
+    const std::vector<std::vector<uint8_t>>& fingerprints,
+    const testing_util::LiveRows& live, const std::string& what) {
+  ASSERT_EQ(engine.num_graphs(), static_cast<int>(live.size())) << what;
+  for (const int k : testing_util::BoundaryKs(live)) {
+    const QueryOptions full{.k = k, .scan_mode = ScanMode::kFull};
+    const QueryOptions approx_all{.k = k, .scan_mode = ScanMode::kApprox,
+                                  .nprobe = kNprobeAll};
+    const std::vector<Ranking> tiled = engine.QueryMappedTile(
+        fingerprints.data(), static_cast<int>(fingerprints.size()), full);
+    ASSERT_EQ(tiled.size(), fingerprints.size());
+    for (size_t i = 0; i < fingerprints.size(); ++i) {
+      const Ranking expected =
+          testing_util::BruteForceTopK(fingerprints[i], live, k);
+      EXPECT_EQ(tiled[i], expected) << what << " tiled q=" << i << " k=" << k;
+      EXPECT_EQ(engine.QueryMapped(fingerprints[i], full), expected)
+          << what << " full q=" << i << " k=" << k;
+      EXPECT_EQ(engine.QueryMapped(fingerprints[i], approx_all), expected)
+          << what << " approx q=" << i << " k=" << k;
+    }
+  }
+}
+
+// The engine's fused scans through every layout the segments can take:
+// base only, delta only, both, tombstones placed exactly on the k-th
+// distance, every row tombstoned, and after compaction — on a tie-heavy
+// corpus whose width is not a word multiple, with a query count that
+// leaves a remainder tile for every kernel's tile width.
+TEST(ScanKernelTest, EngineFusedScanMatchesBruteForceThroughChurn) {
+  Rng rng(4242);
+  for (const int p : {0, 70}) {
+    const std::string at = "p=" + std::to_string(p);
+    const auto base_rows = testing_util::TieHeavyRows(300, p, &rng);
+    const auto delta_rows = testing_util::TieHeavyRows(40, p, &rng);
+    const auto fingerprints = RandomBitRows(11, p, 0.4, &rng);
+
+    // Base only (empty delta).
+    auto built = QueryEngine::FromIndex(
+        testing_util::LabelFeatureIndex(p, base_rows));
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    QueryEngine engine = std::move(built).value();
+    ScopedRole writer(&engine.writer_role());
+    testing_util::LiveRows live;
+    for (int i = 0; i < 300; ++i) live[i] = base_rows[static_cast<size_t>(i)];
+    ExpectEngineMatchesBruteForce(engine, fingerprints, live, at + " base");
+
+    // Base + delta.
+    for (const auto& row : delta_rows) {
+      const Result<int> id = engine.InsertMapped(row);
+      ASSERT_TRUE(id.ok());
+      live[*id] = row;
+    }
+    ExpectEngineMatchesBruteForce(engine, fingerprints, live, at + " delta");
+
+    // Tombstone the k-th answer of query 0 and the answer right after it,
+    // once near the top and once deep in the ranking, so the selection
+    // boundary sits on removed rows.
+    for (const int k : {7, 330}) {
+      const Ranking before =
+          testing_util::BruteForceTopK(fingerprints[0], live, k + 1);
+      ASSERT_EQ(static_cast<int>(before.size()), k + 1);
+      for (const int pos : {k - 1, k}) {
+        const int id = before[static_cast<size_t>(pos)].id;
+        ASSERT_TRUE(engine.Remove(id).ok());
+        live.erase(id);
+      }
+    }
+    ExpectEngineMatchesBruteForce(engine, fingerprints, live,
+                                  at + " kth tombstones");
+    engine.Compact();
+    ExpectEngineMatchesBruteForce(engine, fingerprints, live,
+                                  at + " compacted");
+
+    // Every row tombstoned: every path answers empty.
+    for (const auto& [id, bits] : live) ASSERT_TRUE(engine.Remove(id).ok());
+    live.clear();
+    ExpectEngineMatchesBruteForce(engine, fingerprints, live, at + " empty");
+
+    // Delta only (empty base).
+    auto empty = QueryEngine::FromIndex(testing_util::LabelFeatureIndex(p, {}));
+    ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+    QueryEngine delta_only = std::move(empty).value();
+    ScopedRole delta_writer(&delta_only.writer_role());
+    for (const auto& row : delta_rows) {
+      const Result<int> id = delta_only.InsertMapped(row);
+      ASSERT_TRUE(id.ok());
+      live[*id] = row;
+    }
+    ExpectEngineMatchesBruteForce(delta_only, fingerprints, live,
+                                  at + " delta only");
   }
 }
 

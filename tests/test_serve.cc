@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -75,19 +76,17 @@ TEST(PackedBitMatrixTest, PackedMappedRankingEqualsByteMappedRanking) {
   }
 }
 
-TEST(PackedBitMatrixTest, SubsetScoresMatchFullScan) {
+TEST(PackedBitMatrixTest, PerRowDistancesMatchFullScan) {
   Rng rng(23);
   const auto rows = RandomBitRows(60, 90, 0.35, &rng);
   const PackedBitMatrix m = PackedBitMatrix::FromRows(rows);
   std::vector<uint64_t> q =
       PackedBitMatrix::PackBits(RandomBitRows(1, 90, 0.35, &rng)[0]);
-  std::vector<double> all, subset;
+  std::vector<double> all;
   m.ScoreAll(q, &all);
-  const std::vector<int> candidates = {0, 3, 17, 41, 59};
-  m.ScoreSubset(q, candidates, &subset);
-  ASSERT_EQ(subset.size(), candidates.size());
-  for (size_t j = 0; j < candidates.size(); ++j) {
-    EXPECT_DOUBLE_EQ(subset[j], all[static_cast<size_t>(candidates[j])]);
+  ASSERT_EQ(all.size(), 60u);
+  for (const int row : {0, 3, 17, 41, 59}) {
+    EXPECT_EQ(m.NormalizedDistance(q, row), all[static_cast<size_t>(row)]);
   }
 }
 
@@ -101,18 +100,40 @@ TEST(TopKByScoresTest, EqualsFullSortThenTruncate) {
     EXPECT_EQ(TopKByScores(scores, k), TopK(RankByScores(scores), k))
         << "k=" << k;
   }
+}
 
-  // Candidate-set counterpart, non-contiguous ids with the same ties.
-  std::vector<int> ids;
-  std::vector<double> sub_scores;
-  for (int i = 0; i < 500; i += 3) {
-    ids.push_back(i);
-    sub_scores.push_back(scores[static_cast<size_t>(i)]);
+// The integer selector behind every serving scan: offered (distance, row)
+// pairs in ascending row order, over non-contiguous rows with heavy ties,
+// must rank exactly like brute force over the sqrt(d / p) scores.
+TEST(HammingTopKTest, EqualsRankByScoresOverOfferedRows) {
+  Rng rng(37);
+  const int p = 40;
+  std::vector<int> row_ids(900);
+  for (size_t r = 0; r < row_ids.size(); ++r) {
+    row_ids[r] = static_cast<int>(3 * r + 1);  // ascending, with gaps
   }
-  for (int k : {0, 1, 10, 200}) {
-    EXPECT_EQ(TopKCandidates(ids, sub_scores, k),
-              TopK(RankCandidates(ids, sub_scores), k))
-        << "k=" << k;
+  std::vector<uint32_t> dists;
+  std::vector<int> offered;
+  for (int row = 0; row < 900; row += 1 + static_cast<int>(rng.UniformU64(3))) {
+    offered.push_back(row);
+    dists.push_back(static_cast<uint32_t>(rng.UniformU64(p + 1) / 8));
+  }
+  const int live = static_cast<int>(offered.size());
+  std::vector<double> scores;
+  scores.reserve(dists.size());
+  for (const uint32_t d : dists) {
+    scores.push_back(std::sqrt(static_cast<double>(d) / p));
+  }
+  Ranking brute = RankByScores(scores);
+  for (RankedResult& r : brute) {
+    r.id = row_ids[static_cast<size_t>(offered[static_cast<size_t>(r.id)])];
+  }
+  for (int k : {0, 1, 10, live - 1, live, live + 5}) {
+    HammingTopK selector(k, live);
+    for (size_t j = 0; j < offered.size(); ++j) {
+      selector.Offer(dists[j], offered[j]);
+    }
+    EXPECT_EQ(selector.Ranked(p, row_ids), TopK(brute, k)) << "k=" << k;
   }
 }
 

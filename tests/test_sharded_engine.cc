@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/random.h"
 #include "common/sync.h"
 #include "core/index.h"
 #include "core/index_io.h"
@@ -19,6 +20,7 @@
 #include "datasets/chemgen.h"
 #include "serve/query_engine.h"
 #include "server/sharded_engine.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -382,6 +384,106 @@ TEST(ShardedEngineTieTest, ToPersistedIndexRoundTripsThroughSingleEngine) {
   for (int k : {1, 6, 20}) {
     EXPECT_EQ(rebuilt->QueryMapped(probe, {.k = k}),
               engine->QueryMapped(probe, {.k = k}));
+  }
+}
+
+
+/// Every sharded scan path against brute force: the tiled batch
+/// (QueryMappedBatch, 11 queries so every kernel's tile width leaves a
+/// remainder), the per-query scatter, and the IVF candidate path at
+/// NPROBE=all (which prunes nothing, so it must be exact too).
+void ExpectShardedMatchesBruteForce(
+    const ShardedEngine& engine,
+    const std::vector<std::vector<uint8_t>>& fingerprints,
+    const testing_util::LiveRows& live, const std::string& what) {
+  ASSERT_EQ(engine.num_graphs(), static_cast<int>(live.size())) << what;
+  for (const int k : testing_util::BoundaryKs(live)) {
+    const QueryOptions full{.k = k, .scan_mode = ScanMode::kFull};
+    const QueryOptions approx_all{.k = k, .scan_mode = ScanMode::kApprox,
+                                  .nprobe = kNprobeAll};
+    const std::vector<Ranking> batch =
+        engine.QueryMappedBatch(fingerprints, full);
+    const std::vector<Ranking> approx_batch =
+        engine.QueryMappedBatch(fingerprints, approx_all);
+    ASSERT_EQ(batch.size(), fingerprints.size());
+    for (size_t i = 0; i < fingerprints.size(); ++i) {
+      const Ranking expected =
+          testing_util::BruteForceTopK(fingerprints[i], live, k);
+      EXPECT_EQ(batch[i], expected) << what << " batch q=" << i << " k=" << k;
+      EXPECT_EQ(approx_batch[i], expected)
+          << what << " approx batch q=" << i << " k=" << k;
+      EXPECT_EQ(engine.QueryMapped(fingerprints[i], full), expected)
+          << what << " scatter q=" << i << " k=" << k;
+    }
+  }
+}
+
+// The fused scan + integer select under sharding: shards {1, 4} x threads
+// {1, 8}, on a tie-heavy corpus, through an empty delta, a live delta,
+// tombstones on the k-th answer, compaction, every row tombstoned, and an
+// empty base — for p = 0 and a width that is not a word multiple.
+TEST(ShardedEngineTieTest, FusedScanMatchesBruteForceForShardsAndThreads) {
+  for (const int p : {0, 70}) {
+    Rng rng(static_cast<uint64_t>(900 + p));
+    const auto base_rows = testing_util::TieHeavyRows(260, p, &rng);
+    const auto delta_rows = testing_util::TieHeavyRows(30, p, &rng);
+    const auto fingerprints = RandomBitRows(11, p, 0.4, &rng);
+    for (const int shards : {1, 4}) {
+      for (const int threads : {1, 8}) {
+        const std::string at = "p=" + std::to_string(p) +
+                               " shards=" + std::to_string(shards) +
+                               " threads=" + std::to_string(threads);
+        auto built = ShardedEngine::FromIndex(
+            testing_util::LabelFeatureIndex(p, base_rows),
+            Sharded(shards, threads));
+        ASSERT_TRUE(built.ok()) << built.status().ToString();
+        ShardedEngine& engine = *built;
+        ScopedRole writer(&engine.writer_role());
+        testing_util::LiveRows live;
+        for (int i = 0; i < 260; ++i) {
+          live[i] = base_rows[static_cast<size_t>(i)];
+        }
+        ExpectShardedMatchesBruteForce(engine, fingerprints, live,
+                                       at + " base");
+        for (const auto& row : delta_rows) {
+          const Result<int> id = engine.InsertMapped(row);
+          ASSERT_TRUE(id.ok());
+          live[*id] = row;
+        }
+        ExpectShardedMatchesBruteForce(engine, fingerprints, live,
+                                       at + " delta");
+        const Ranking ranked =
+            testing_util::BruteForceTopK(fingerprints[0], live, 10);
+        for (const int pos : {4, 9}) {  // the 5th and 10th answers
+          const int id = ranked[static_cast<size_t>(pos)].id;
+          ASSERT_TRUE(engine.Remove(id).ok());
+          live.erase(id);
+        }
+        ExpectShardedMatchesBruteForce(engine, fingerprints, live,
+                                       at + " kth tombstones");
+        engine.Compact();
+        ExpectShardedMatchesBruteForce(engine, fingerprints, live,
+                                       at + " compacted");
+        for (const auto& [id, bits] : live) {
+          ASSERT_TRUE(engine.Remove(id).ok());
+        }
+        live.clear();
+        ExpectShardedMatchesBruteForce(engine, fingerprints, live,
+                                       at + " all removed");
+
+        auto empty = ShardedEngine::FromIndex(
+            testing_util::LabelFeatureIndex(p, {}), Sharded(shards, threads));
+        ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+        ScopedRole empty_writer(&empty->writer_role());
+        for (const auto& row : delta_rows) {
+          const Result<int> id = empty->InsertMapped(row);
+          ASSERT_TRUE(id.ok());
+          live[*id] = row;
+        }
+        ExpectShardedMatchesBruteForce(*empty, fingerprints, live,
+                                       at + " delta only");
+      }
+    }
   }
 }
 

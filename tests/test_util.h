@@ -2,9 +2,13 @@
 #define GDIM_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "common/random.h"
+#include "core/index_io.h"
+#include "core/objective.h"
+#include "core/topk.h"
 #include "graph/graph.h"
 #include "graph/graph_utils.h"
 #include "isomorphism/vf2.h"
@@ -94,6 +98,57 @@ inline int BruteForceMcs(const Graph& a, const Graph& b) {
     if (BruteForceSubgraphIso(sub, big)) best = bits;
   }
   return best;
+}
+
+/// A persisted index over p single-vertex features (label r for feature
+/// r), so a fingerprint is exactly a label set and rows can be scripted.
+inline PersistedIndex LabelFeatureIndex(
+    int p, std::vector<std::vector<uint8_t>> rows) {
+  PersistedIndex index;
+  for (int r = 0; r < p; ++r) {
+    Graph f;
+    f.AddVertex(static_cast<LabelId>(r));
+    index.features.push_back(f);
+  }
+  index.db_bits = std::move(rows);
+  return index;
+}
+
+/// n rows of p bits, each a copy of one of five random patterns: distances
+/// to any query collapse onto a handful of values, so nearly every top-k
+/// boundary is a tie.
+inline std::vector<std::vector<uint8_t>> TieHeavyRows(int n, int p, Rng* rng) {
+  const std::vector<std::vector<uint8_t>> pool = RandomBitRows(5, p, 0.4, rng);
+  std::vector<std::vector<uint8_t>> rows;
+  rows.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) rows.push_back(pool[rng->UniformU64(5)]);
+  return rows;
+}
+
+/// The live fingerprints of an engine under test, keyed by external id.
+using LiveRows = std::map<int, std::vector<uint8_t>>;
+
+/// The k values every fused-select differential sweeps: nothing, one, and
+/// the boundaries around the live count (k > live keeps every live row).
+inline std::vector<int> BoundaryKs(const LiveRows& live) {
+  const int n = static_cast<int>(live.size());
+  return {0, 1, std::max(n - 1, 0), n, n + 5};
+}
+
+/// The exact top-k reference for the serving scans: BinaryMappedDistance
+/// against every live fingerprint, RankByScores, truncated to k.
+/// Independent of packing, kernels and selection.
+inline Ranking BruteForceTopK(const std::vector<uint8_t>& query,
+                              const LiveRows& live, int k) {
+  std::vector<int> ids;
+  std::vector<double> scores;
+  for (const auto& [id, bits] : live) {
+    ids.push_back(id);
+    scores.push_back(BinaryMappedDistance(query, bits));
+  }
+  Ranking ranked = RankByScores(scores);
+  for (RankedResult& r : ranked) r.id = ids[static_cast<size_t>(r.id)];
+  return TopK(ranked, std::max(k, 0));
 }
 
 }  // namespace testing_util
