@@ -4,7 +4,7 @@
 //
 //   bench_churn_workload [--n=10000 --p=256 --rounds=20 --inserts=50
 //                         --removes=50 --queries=10 --k=10 --density=0.3
-//                         --compact-every=10 --prefilter --seed=7]
+//                         --compact-every=10 --seed=7]
 //
 // Each round performs `inserts` InsertMapped calls, `removes` Remove calls
 // on random live ids, and `queries` top-k queries; every `compact-every`
@@ -56,13 +56,11 @@ int Main(int argc, char** argv) {
 
   ServeOptions options;
   options.threads = 1;  // per-op cost, not batch parallelism
-  options.containment_prefilter = flags.GetBool("prefilter", false);
 
   std::printf(
       "churn_workload: n=%d p=%d rounds=%d (+%d/-%d/?%d per round) k=%d "
-      "density=%.2f compact-every=%d prefilter=%d\n",
-      n, p, rounds, inserts, removes, queries, k, density, compact_every,
-      options.containment_prefilter ? 1 : 0);
+      "density=%.2f compact-every=%d\n",
+      n, p, rounds, inserts, removes, queries, k, density, compact_every);
 
   PersistedIndex seed_index;
   for (int r = 0; r < p; ++r) {

@@ -76,8 +76,8 @@ class BinaryFeatureDb {
 };
 
 /// supports[r] = sorted ids of rows with bit r set — the IF inverted lists
-/// of an explicit 0/1 matrix (rows must all have the same width). Shared by
-/// ContainmentIndex and the serving prefilter.
+/// of an explicit 0/1 matrix (rows must all have the same width). Used by
+/// ContainmentIndex.
 std::vector<std::vector<int>> SupportsFromBitRows(
     const std::vector<std::vector<uint8_t>>& rows);
 

@@ -30,7 +30,7 @@ inline constexpr char kStageAdmissionWait[] = "admission_wait";
 inline constexpr char kStageCacheProbe[] = "cache_probe";
 /// Stage-1 VF2 mapping of one coalesced query run onto the dimension.
 inline constexpr char kStageMapAll[] = "map_all";
-/// One shard's exact (full or prefiltered) scan of one query span.
+/// One shard's exact full scan of one query span.
 inline constexpr char kStageScanExact[] = "scan_exact";
 /// One shard's MODE=approx candidate scan of one query span.
 inline constexpr char kStageScanApprox[] = "scan_approx";

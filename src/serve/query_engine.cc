@@ -7,10 +7,8 @@
 #include <string>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "core/binary_db.h"
 #include "core/kernels/scan_kernel.h"
 
 namespace gdim {
@@ -82,19 +80,6 @@ Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
   // are never re-issued after a reload); otherwise derive it.
   engine.next_id_ =
       index.next_id >= 0 ? index.next_id : static_cast<int>(min_next_id);
-  // The inverted lists only serve the prefilter; skip the O(n·p) pass and
-  // their memory when it is disabled.
-  if (options.containment_prefilter) {
-    engine.supports_.assign(static_cast<size_t>(p), {});
-    for (int row = 0; row < n; ++row) {
-      const std::vector<uint8_t> bits = engine.base_->UnpackRow(row);
-      for (int r = 0; r < p; ++r) {
-        if (bits[static_cast<size_t>(r)] != 0) {
-          engine.supports_[static_cast<size_t>(r)].push_back(row);
-        }
-      }
-    }
-  }
   if (index.ivf.has_value()) {
     // Adopt the persisted IVF layout instead of re-clustering: reload skips
     // the O(n·sqrt(n)) Build. Snapshot postings are in external-id space
@@ -220,12 +205,6 @@ Result<int> QueryEngine::InsertMappedWithId(
   ++alive_;
   ivf_.AddRow(delta_.row(row - base_->num_rows()), delta_.words_per_row(),
               row);
-  if (options_.containment_prefilter) {
-    for (size_t r = 0; r < fingerprint.size(); ++r) {
-      // Rows only grow, so appending keeps each list sorted.
-      if (fingerprint[r] != 0) supports_[r].push_back(row);
-    }
-  }
   next_id_ = id + 1;
   ++epoch_;
   return id;
@@ -239,16 +218,6 @@ Status QueryEngine::Remove(int id) {
   tombstones_[static_cast<size_t>(row)] = 1;
   ++num_tombstones_;
   --alive_;
-  if (options_.containment_prefilter) {
-    const std::vector<uint8_t> bits = RowBits(row);
-    for (size_t r = 0; r < bits.size(); ++r) {
-      if (bits[r] == 0) continue;
-      std::vector<int>& list = supports_[r];
-      const auto it = std::lower_bound(list.begin(), list.end(), row);
-      GDIM_DCHECK(it != list.end() && *it == row);
-      list.erase(it);
-    }
-  }
   ++epoch_;
   return Status::OK();
 }
@@ -281,16 +250,6 @@ void QueryEngine::Compact() {
   // the survivors renumber monotonically. Centroids are kept — only a
   // generation swap re-clusters.
   ivf_.Renumber(old_to_new);
-  if (options_.containment_prefilter) {
-    // The lists already hold exactly the live rows; renumber in place (the
-    // old→new map is monotone, so each list stays sorted).
-    for (std::vector<int>& list : supports_) {
-      for (int& row : list) {
-        row = old_to_new[static_cast<size_t>(row)];
-        GDIM_DCHECK(row >= 0);
-      }
-    }
-  }
 }
 
 std::vector<int> QueryEngine::alive_ids() const {
@@ -429,40 +388,6 @@ std::vector<uint8_t> QueryEngine::RowBits(int row) const {
              : delta_.UnpackRow(row - base_->num_rows());
 }
 
-std::vector<int> QueryEngine::PrefilterCandidateRows(
-    const std::vector<uint8_t>& fingerprint) const {
-  GDIM_DCHECK(options_.containment_prefilter);
-  return PrefilterCandidates(fingerprint);
-}
-
-Ranking QueryEngine::QueryMappedCandidates(
-    const std::vector<uint8_t>& fingerprint, const QueryOptions& options,
-    const std::vector<int>& candidate_rows, ServeQueryStats* stats) const {
-  WallTimer timer;
-  Ranking top = CandidateTopK(base_->PackQuery(fingerprint), candidate_rows,
-                              std::max(options.k, 0));
-  if (stats != nullptr) {
-    stats->latency_ms = timer.Millis();
-    int features_on = 0;
-    for (uint8_t b : fingerprint) features_on += b != 0 ? 1 : 0;
-    stats->features_on = features_on;
-    stats->scanned = static_cast<int>(candidate_rows.size());
-    stats->prefiltered = true;
-  }
-  return top;
-}
-
-std::vector<int> QueryEngine::PrefilterCandidates(
-    const std::vector<uint8_t>& fingerprint) const {
-  // Collect the inverted lists of the set bits, smallest support first so
-  // the running intersection shrinks as fast as possible.
-  std::vector<const std::vector<int>*> lists;
-  for (size_t r = 0; r < fingerprint.size(); ++r) {
-    if (fingerprint[r] != 0) lists.push_back(&supports_[r]);
-  }
-  return IntersectSupports(std::move(lists));
-}
-
 std::vector<Ranking> QueryEngine::FullTopK(const uint64_t* const* queries,
                                            int count, int k) const {
   // Base rows, then delta rows: physical rows ascend across the two scans,
@@ -521,44 +446,25 @@ Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
   for (uint8_t b : fingerprint) features_on += b != 0 ? 1 : 0;
   const std::vector<uint64_t> packed_query = base_->PackQuery(fingerprint);
 
-  // Stage 2: optional containment prefilter over the inverted lists.
-  bool prefiltered = false;
-  std::vector<int> candidates;
-  if (options.scan_mode == ScanMode::kAuto &&
-      options_.containment_prefilter && features_on > 0) {
-    candidates = PrefilterCandidates(fingerprint);
-    // Take the narrowed path only when it actually narrows: some candidate
-    // survived (an empty intersection is a degenerate "scan of zero rows",
-    // not a narrowed scan — the documented fallback applies, also at
-    // k == 0), enough candidates to answer, and fewer than a full scan of
-    // the live rows would touch.
-    prefiltered = !candidates.empty() &&
-                  static_cast<int>(candidates.size()) >= k &&
-                  static_cast<int>(candidates.size()) < alive_;
-  }
-
-  // Approximate stage 2 (MODE=approx): the IVF probe collects the live
+  // Stage 2 runs only under MODE=approx: the IVF probe collects the live
   // members of the nprobe nearest centroid buckets, and stage 3 then
-  // exact-scores exactly those rows through the same machinery as the
-  // prefiltered path. The answer differs from kFull only by rows the probe
-  // pruned — at NPROBE=all nothing is pruned, the pool is precisely the
-  // live rows, and the ranking is bit-identical to a full scan.
+  // exact-scores exactly those rows. The answer differs from kFull only by
+  // rows the probe pruned — at NPROBE=all nothing is pruned, the pool is
+  // precisely the live rows, and the ranking is bit-identical to a full
+  // scan. Stage 3 is the fused popcount scan + integer top-k; selection
+  // runs over physical rows, which ascend with external ids, so the
+  // score-then-id tie-break is preserved.
   const bool approx = options.scan_mode == ScanMode::kApprox;
+  Ranking top;
+  int scanned;
   double ivf_probe_usec = 0.0;
   if (approx) {
     const int nprobe =
         options.nprobe > 0 ? options.nprobe : ivf_.default_nprobe();
     WallTimer probe_timer;
-    candidates = ivf_.Probe(packed_query, nprobe, tombstones_);
+    const std::vector<int> candidates =
+        ivf_.Probe(packed_query, nprobe, tombstones_);
     ivf_probe_usec = probe_timer.Micros();
-  }
-
-  // Stage 3: fused popcount scan + integer top-k (narrowed or full).
-  // Selection runs over physical rows, which ascend with external ids, so
-  // the score-then-id tie-break is preserved.
-  Ranking top;
-  int scanned;
-  if (prefiltered || approx) {
     top = CandidateTopK(packed_query, candidates, k);
     scanned = static_cast<int>(candidates.size());
   } else {
@@ -571,7 +477,6 @@ Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
     stats->latency_ms = timer.Millis();
     stats->features_on = features_on;
     stats->scanned = scanned;
-    stats->prefiltered = prefiltered;
     stats->approx = approx;
     stats->rows_pruned = approx ? alive_ - scanned : 0;
     stats->ivf_probe_usec = ivf_probe_usec;
@@ -589,7 +494,6 @@ void FillServeBatchReport(double wall_ms,
   std::vector<double> latencies;
   latencies.reserve(stats.size());
   report->scanned_rows = 0;
-  report->prefiltered_queries = 0;
   report->approx_queries = 0;
   report->approx_candidates_scanned = 0;
   report->approx_rows_pruned = 0;
@@ -599,7 +503,6 @@ void FillServeBatchReport(double wall_ms,
   for (const ServeQueryStats& s : stats) {
     latencies.push_back(s.latency_ms);
     report->scanned_rows += s.scanned;
-    report->prefiltered_queries += s.prefiltered ? 1 : 0;
     if (s.approx) {
       ++report->approx_queries;
       report->approx_candidates_scanned += s.scanned;
@@ -646,7 +549,6 @@ std::vector<Ranking> QueryEngine::QueryMappedTile(
       for (uint8_t b : fingerprints[q]) features_on += b != 0 ? 1 : 0;
       s.features_on = features_on;
       s.scanned = total_rows();
-      s.prefiltered = false;
     }
   }
   return results;
@@ -664,12 +566,9 @@ std::vector<Ranking> QueryEngine::QueryBatch(
   // touch packed words only.
   const std::vector<std::vector<uint8_t>> fingerprints =
       mapper_.MapAll(queries, options_.threads);
-  if (options.scan_mode == ScanMode::kApprox ||
-      (options.scan_mode == ScanMode::kAuto &&
-       options_.containment_prefilter)) {
-    // The stage-2 decision (prefilter intersection or IVF probe) yields a
-    // per-query candidate pool, so the batch cannot share row passes; keep
-    // the per-query path.
+  if (options.scan_mode == ScanMode::kApprox) {
+    // The IVF probe yields a per-query candidate pool, so the batch cannot
+    // share row passes; keep the per-query path.
     ParallelFor(
         0, n,
         [&](int i) {

@@ -23,19 +23,9 @@ namespace gdim {
 /// Engine-wide serving knobs, fixed at load time.
 struct ServeOptions {
   /// Worker threads for QueryBatch; 0 = DefaultThreadCount(). Results are
-  /// identical for every thread count (queries are independent and the
-  /// per-query ranking uses the deterministic RankByScores order).
+  /// identical for every thread count (queries are independent and each
+  /// query selects in HammingTopK's deterministic (distance, row) order).
   int threads = 0;
-
-  /// Stage-2 prefilter: restrict the distance scan to database graphs that
-  /// contain *every* feature of the query fingerprint (the candidate set
-  /// ∩_{r ∈ φ(q)} sup(f_r) of containment search). A lossy-for-similarity
-  /// heuristic — graphs missing one query feature are skipped even though
-  /// they could rank in the exact top-k — so it is off by default and meant
-  /// for supergraph-biased workloads. Falls back to a full scan when the
-  /// filter does not actually narrow anything: no candidate survives, fewer
-  /// than k candidates survive, or every live graph survives.
-  bool containment_prefilter = false;
 
   /// Bucket count of the IVF candidate-pruning index behind ScanMode::
   /// kApprox; 0 picks ceil(sqrt(rows)) per engine (per shard). The index is
@@ -51,7 +41,6 @@ struct ServeQueryStats {
   int scanned = 0;         ///< rows scored in stage 3; the full-scan path
                            ///< scores every physical row, so removed-but-not-
                            ///< compacted rows count until Compact()
-  bool prefiltered = false;  ///< stage 2 narrowed the scan (no fallback)
   bool approx = false;     ///< served from the IVF candidate path (kApprox)
   /// kApprox only: live rows the probe pruned (alive − scanned); what the
   /// approximate mode saved relative to a full scan of the live set.
@@ -74,7 +63,6 @@ struct ServeBatchReport {
   double qps = 0.0;              ///< queries / wall second
   LatencySummary latency_ms;     ///< per-query latency distribution
   long long scanned_rows = 0;    ///< total rows scored across the batch
-  size_t prefiltered_queries = 0;  ///< queries served from a narrowed scan
   size_t approx_queries = 0;     ///< queries served from the IVF path
   /// Candidate rows exact-scored by approx queries (their share of
   /// scanned_rows) and the live rows their probes pruned away.
@@ -132,11 +120,12 @@ PersistedIvf PersistIvf(const IvfIndex& ivf,
 /// mapped database vectors), converts the vectors into the packed word
 /// layout, and answers batched top-k queries through a three-stage hot path —
 ///   1. fingerprint the query onto the selected dimension (VF2 matching),
-///   2. optionally prefilter candidates via the feature inverted lists,
-///   3. popcount-Hamming distance scan over the packed bit matrices, fused
-///      with the top-k selection: a bounded heap per query selects on the
-///      kernel's uint32 counts inside the row-block loop, and only the k
-///      survivors are converted to sqrt(d / p) scores.
+///   2. MODE=approx only: IVF probe for a candidate pool,
+///   3. popcount-Hamming distance scan over the packed bit matrices (every
+///      live row, or the MODE=approx pool), fused with the top-k selection:
+///      a bounded heap per query selects on the kernel's uint32 counts
+///      inside the row-block loop, and only the k survivors are converted
+///      to sqrt(d / p) scores.
 /// No MCS computation and no graph algorithm other than stage 1 runs at
 /// query time, which is the paper's whole online-search proposition.
 ///
@@ -250,7 +239,7 @@ class QueryEngine {
                                  int id) GDIM_REQUIRES(writer_role_);
 
   /// Tombstones the graph with the given external id; NotFound if no live
-  /// graph has that id. O(log n) + inverted-list maintenance.
+  /// graph has that id. O(log n).
   Status Remove(int id) GDIM_REQUIRES(writer_role_);
 
   /// Rewrites the live rows into a fresh sealed base segment, drops
@@ -304,38 +293,20 @@ class QueryEngine {
   /// Stages 2–3 for a caller that already holds the mapped fingerprint:
   /// the scatter path of a sharded engine fingerprints a query once (VF2 is
   /// the expensive stage) and fans the mapped vector out to every shard.
-  /// Width must equal num_features(). With kAuto, identical to Query() on
-  /// a graph with this fingerprint.
+  /// Width must equal num_features(). Identical to Query() on a graph
+  /// with this fingerprint, for either scan mode.
   Ranking QueryMapped(const std::vector<uint8_t>& fingerprint,
                       const QueryOptions& options,
                       ServeQueryStats* stats = nullptr) const;
-
-  /// Stage 2 alone: the live physical rows surviving ∩ sup(f_r) over the
-  /// fingerprint's set bits (ascending). Requires the containment
-  /// prefilter to be enabled and at least one set bit (the intersection
-  /// over an empty feature family is degenerate — callers fall back to a
-  /// full scan there, as QueryMapped does). A sharded owner collects these
-  /// once per shard, decides narrowed-vs-full globally, and feeds them
-  /// back through QueryMappedCandidates — one intersection pass total.
-  std::vector<int> PrefilterCandidateRows(
-      const std::vector<uint8_t>& fingerprint) const;
-
-  /// Stage 3 alone, over an explicit candidate row set (stage 2 already
-  /// done by the owner): scores candidate_rows against the fingerprint and
-  /// ranks with the usual score-then-id order, external ids in the result.
-  /// stats reports a narrowed scan of candidate_rows.size() rows.
-  Ranking QueryMappedCandidates(const std::vector<uint8_t>& fingerprint,
-                                const QueryOptions& options,
-                                const std::vector<int>& candidate_rows,
-                                ServeQueryStats* stats = nullptr) const;
 
   /// Answers a whole batch across the thread pool. results[i] corresponds
   /// to queries[i]; output is deterministic for any thread count (and
   /// bit-identical for every scan kernel). Optional per-query stats
   /// (resized to the batch) and an aggregate report. Fingerprints the
-  /// whole batch first (MapAll), then — unless the containment prefilter
-  /// takes the per-query path — scans tiles of ActiveScanKernel()::
-  /// tile_width() queries per row-block pass via QueryMappedTile.
+  /// whole batch first (MapAll), then scans tiles of ActiveScanKernel()::
+  /// tile_width() queries per row-block pass via QueryMappedTile; only
+  /// MODE=approx, whose IVF probe yields a per-query candidate pool, takes
+  /// the per-query QueryMapped path.
   std::vector<Ranking> QueryBatch(
       const GraphDatabase& queries, const QueryOptions& options,
       ServeBatchReport* report = nullptr,
@@ -367,11 +338,6 @@ class QueryEngine {
   /// Row `row` of the segmented matrix back as a 0/1 byte vector.
   std::vector<uint8_t> RowBits(int row) const;
 
-  /// Stage 2: ∩ sup(f_r) over the fingerprint's set bits (ascending
-  /// physical rows, live rows only — the lists are maintained on mutation).
-  std::vector<int> PrefilterCandidates(
-      const std::vector<uint8_t>& fingerprint) const;
-
   /// Stage 3 over every live row for `count` packed queries at once: the
   /// fused scan + integer top-k (ScanTopK) over base then delta, tombstones
   /// skipped in the block loop. results[q] answers queries[q]; scratch is
@@ -379,8 +345,8 @@ class QueryEngine {
   std::vector<Ranking> FullTopK(const uint64_t* const* queries, int count,
                                 int k) const;
 
-  /// Stage 3 over an ascending list of live candidate rows (the prefilter
-  /// intersection or the IVF probe pool), selected on integer distances.
+  /// Stage 3 over an ascending list of live candidate rows (the IVF probe
+  /// pool of MODE=approx), selected on integer distances.
   Ranking CandidateTopK(const std::vector<uint64_t>& packed_query,
                         const std::vector<int>& rows, int k) const;
 
@@ -403,9 +369,6 @@ class QueryEngine {
   int next_id_ = 0;
   /// Monotonic mutation counter; see epoch().
   uint64_t epoch_ = 0;
-  /// supports_[r] = ascending physical rows of live graphs containing
-  /// feature r; only populated when options_.containment_prefilter.
-  std::vector<std::vector<int>> supports_;
   /// IVF candidate-pruning index over the packed rows (ScanMode::kApprox).
   /// Built with the engine (so a generation swap re-clusters over the new
   /// generation's fingerprints), maintained by Insert (nearest-centroid

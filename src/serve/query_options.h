@@ -5,21 +5,14 @@
 
 namespace gdim {
 
-/// Stage-2 policy for a mapped query. kAuto applies the serving engine's own
-/// narrowed-vs-full fallback — the single-engine default. A sharded owner
-/// instead decides ONCE over global candidate counts and forces every shard
-/// onto the same side: left to their local heuristics, shards diverge from
-/// the single-engine answer (a shard holding fewer than k candidates would
-/// widen to a full scan of rows the single engine's narrowed scan never
-/// touches). The narrowed side of the forced decision goes through
-/// QueryEngine::QueryMappedCandidates with the rows the owner already
-/// collected; kFull is the forced full-scan side, and also what the wire
-/// protocol's MODE=full requests. kApprox (MODE=approx) trades exactness
-/// for scan cost: the engine probes the `nprobe` nearest IVF centroid
-/// buckets (src/index/ivf_index.h) and exact-scores only their members —
-/// the answer may miss rows the probe pruned, and nothing else differs.
+/// Stage-2 policy for a mapped query. kFull (the default, and the wire's
+/// MODE=full and its alias MODE=auto) is the one exact path: every live row
+/// is scanned and ranked by mapped distance. kApprox (MODE=approx) trades
+/// exactness for scan cost: the engine probes the `nprobe` nearest IVF
+/// centroid buckets (src/index/ivf_index.h) and exact-scores only their
+/// members — the answer may miss rows the probe pruned, and nothing else
+/// differs.
 enum class ScanMode {
-  kAuto,
   kFull,
   kApprox,
 };
@@ -42,7 +35,7 @@ struct QueryOptions {
   int k = 0;
 
   /// Stage-2 scan policy; see ScanMode.
-  ScanMode scan_mode = ScanMode::kAuto;
+  ScanMode scan_mode = ScanMode::kFull;
 
   /// kApprox only: how many IVF centroid buckets to probe, per shard.
   /// 0 picks the engine default (IvfIndex::default_nprobe); kNprobeAll

@@ -18,8 +18,6 @@ namespace {
 
 const char* ScanModeName(ScanMode mode) {
   switch (mode) {
-    case ScanMode::kAuto:
-      return "auto";
     case ScanMode::kFull:
       return "full";
     case ScanMode::kApprox:
@@ -532,10 +530,6 @@ std::vector<std::function<void()>> BatchExecutor::Execute(
       }
     }
   }
-  // Results depend on every per-query knob, so the cache key carries the
-  // scan mode alongside the engine-level prefilter flag in its tag byte.
-  const uint8_t prefilter_tag =
-      engine_->options().serve.containment_prefilter ? 1 : 0;
   std::vector<Ranking> results(batch->size());
   std::vector<std::string> keys(batch->size());
   std::vector<size_t> misses;
@@ -545,12 +539,12 @@ std::vector<std::function<void()>> BatchExecutor::Execute(
   for (size_t i = 0; i < batch->size(); ++i) {
     if (cache_ != nullptr) {
       const QueryOptions& options = (*batch)[i].query_options;
+      // Results depend on every per-query knob, so the key carries the scan
+      // mode in its tag byte. nprobe is part of the key only for approx
+      // queries: different probe depths legitimately rank differently,
+      // while the exact scan ignores it.
       const bool approx = options.scan_mode == ScanMode::kApprox;
-      const uint8_t mode_tag = static_cast<uint8_t>(
-          prefilter_tag | (options.scan_mode == ScanMode::kFull ? 2 : 0) |
-          (approx ? 4 : 0));
-      // nprobe is part of the key only for approx queries: different probe
-      // depths legitimately rank differently, while exact modes ignore it.
+      const uint8_t mode_tag = approx ? 1 : 0;
       keys[i] = ResultCache::MakeKey(fingerprints[i], options.k, mode_tag,
                                      approx ? options.nprobe : 0);
       if (std::optional<Ranking> hit = cache_->Lookup(keys[i], epoch)) {

@@ -404,50 +404,18 @@ Ranking ShardedEngine::ScatterGather(const std::vector<uint8_t>& fingerprint,
   WallTimer timer;
   const int n_shards = num_shards();
 
-  // Stage-2 policy is decided ONCE, over global counts, then forced onto
-  // every shard. Left to their per-shard fallback heuristics the shards
-  // diverge from the single engine: a shard locally holding fewer than k
-  // candidates would widen to a full scan the single engine never runs.
-  // The global rule is exactly the single engine's (some candidate
-  // survived, enough to fill k, strictly narrower than a full scan), and
-  // the candidate rows collected here feed straight into the narrowed
-  // scans — one intersection pass per shard total.
-  bool narrowed = false;
-  int features_on = 0;
-  for (uint8_t b : fingerprint) features_on += b != 0 ? 1 : 0;
-  std::vector<std::vector<int>> candidates;
-  if (options_.serve.containment_prefilter &&
-      options.scan_mode == ScanMode::kAuto && features_on > 0) {
-    candidates.resize(static_cast<size_t>(n_shards));
-    long long total = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      candidates[s] = shards_[s].PrefilterCandidateRows(fingerprint);
-      total += static_cast<long long>(candidates[s].size());
-    }
-    narrowed = total > 0 && total >= std::max(k, 0) && total < num_graphs();
-  }
-
   std::vector<Ranking> partials(static_cast<size_t>(n_shards));
   std::vector<ServeQueryStats> shard_stats(static_cast<size_t>(n_shards));
-  // kApprox travels to every shard as-is: each shard probes its own IVF
-  // index with the same nprobe, so the gather merges per-shard approximate
-  // top-k lists. At kNprobeAll every shard's candidate set is its full live
-  // set and the merge is bit-identical to the forced-full path.
-  const bool approx = options.scan_mode == ScanMode::kApprox;
-  const QueryOptions forced =
-      approx ? options
-             : QueryOptions{.k = options.k, .scan_mode = ScanMode::kFull};
+  // The options travel to every shard as-is. kApprox: each shard probes
+  // its own IVF index with the same nprobe, so the gather merges per-shard
+  // approximate top-k lists; at kNprobeAll every shard's candidate set is
+  // its full live set and the merge is bit-identical to kFull.
   ParallelScatter(
       n_shards,
       [&](int s) {
         const size_t i = static_cast<size_t>(s);
         partials[i] =
-            narrowed
-                ? shards_[i].QueryMappedCandidates(fingerprint, options,
-                                                   candidates[i],
-                                                   &shard_stats[i])
-                : shards_[i].QueryMapped(fingerprint, forced,
-                                         &shard_stats[i]);
+            shards_[i].QueryMapped(fingerprint, options, &shard_stats[i]);
       },
       scatter_threads);
   WallTimer gather_timer;
@@ -455,7 +423,7 @@ Ranking ShardedEngine::ScatterGather(const std::vector<uint8_t>& fingerprint,
   const double gather_usec = gather_timer.Micros();
   if (stats != nullptr) {
     stats->latency_ms = timer.Millis();
-    stats->features_on = features_on;
+    stats->features_on = shard_stats[0].features_on;
     stats->scanned = 0;
     stats->rows_pruned = 0;
     stats->ivf_probe_usec = 0.0;
@@ -471,8 +439,7 @@ Ranking ShardedEngine::ScatterGather(const std::vector<uint8_t>& fingerprint,
       stats->shard_scan_usec.push_back(
           shard_stats[static_cast<size_t>(s)].latency_ms * 1e3);
     }
-    stats->prefiltered = narrowed;
-    stats->approx = approx;
+    stats->approx = options.scan_mode == ScanMode::kApprox;
     stats->gather_usec = gather_usec;
   }
   return merged;
@@ -498,14 +465,11 @@ void ShardedEngine::ScanMappedBatch(
     const QueryOptions& options, std::vector<Ranking>* results,
     std::vector<ServeQueryStats>* stats) const {
   const int n = static_cast<int>(fingerprints.size());
-  if (options.scan_mode == ScanMode::kApprox ||
-      (options_.serve.containment_prefilter &&
-       options.scan_mode == ScanMode::kAuto)) {
-    // The stage-2 narrowed-vs-full decision is global and per query, so
-    // queries cannot share row passes: one pool over queries, each
-    // scattering over shards serially (no nested pools). kApprox takes the
-    // same per-query path — the tiled path below forces full scans, which
-    // would silently ignore the probe.
+  if (options.scan_mode == ScanMode::kApprox) {
+    // The IVF probe yields a per-query candidate pool, so queries cannot
+    // share row passes: one pool over queries, each scattering over shards
+    // serially (no nested pools). The tiled path below scans every row,
+    // which would silently ignore the probe.
     ParallelFor(
         0, n,
         [&](int i) {
@@ -524,7 +488,6 @@ void ShardedEngine::ScanMappedBatch(
   // merge is the same deterministic k-way MergeTopK as the scatter path, so
   // answers are bit-identical to one-query-at-a-time scattering for every
   // tile split, shard count, and kernel.
-  const QueryOptions full{.k = options.k, .scan_mode = ScanMode::kFull};
   const int tile = ActiveScanKernel().tile_width();
   const int num_tiles = tile > 0 ? (n + tile - 1) / tile : 0;
   ParallelFor(
@@ -538,7 +501,7 @@ void ShardedEngine::ScanMappedBatch(
             shards_.size());
         for (size_t s = 0; s < shards_.size(); ++s) {
           partials[s] = shards_[s].QueryMappedTile(
-              fingerprints.data() + begin, count, full, &shard_stats[s]);
+              fingerprints.data() + begin, count, options, &shard_stats[s]);
         }
         for (int q = 0; q < count; ++q) {
           std::vector<Ranking> per_shard;
@@ -562,7 +525,6 @@ void ShardedEngine::ScanMappedBatch(
           for (size_t sh = 0; sh < shards_.size(); ++sh) {
             s.scanned += shard_stats[sh][static_cast<size_t>(q)].scanned;
           }
-          s.prefiltered = false;
         }
         // One scan sample per per-shard tile pass, attributed to the tile's
         // first query (QueryMappedTile reports the pass's wall time in every

@@ -25,8 +25,7 @@ struct ShardedOptions {
   int num_shards = 1;
 
   /// Per-shard serving options. `serve.threads` also sizes the scatter pool
-  /// of Query()/QueryBatch(); the prefilter flag is passed through to every
-  /// shard.
+  /// of Query()/QueryBatch(); the rest is passed through to every shard.
   ServeOptions serve;
 };
 
@@ -220,8 +219,7 @@ class ShardedEngine {
 
   /// Top-k for one query: VF2-fingerprint once, scatter the mapped vector
   /// across all shards on the scatter pool, gather-merge. stats aggregates
-  /// over shards (scanned rows are summed; prefiltered means every shard
-  /// with live rows served from a narrowed scan). Per-query knobs travel in
+  /// over shards (scanned rows are summed). Per-query knobs travel in
   /// `options`: engine.Query(q, {.k = 10}).
   Ranking Query(const Graph& query, const QueryOptions& options,
                 ServeQueryStats* stats = nullptr) const;
@@ -240,8 +238,8 @@ class ShardedEngine {
       std::vector<ServeQueryStats>* per_query = nullptr) const;
 
   /// QueryBatch over pre-mapped fingerprints — the multi-query entry point
-  /// the batch executor coalesces concurrent network queries into. Unless
-  /// the containment prefilter takes the per-query scatter path, the batch
+  /// the batch executor coalesces concurrent network queries into. Except
+  /// under MODE=approx, which takes the per-query scatter path, the batch
   /// is cut into tiles of ActiveScanKernel()::tile_width() queries and each
   /// shard scores a whole tile per row-block pass (QueryEngine::
   /// QueryMappedTile) instead of looping queries outermost; the per-query
@@ -267,8 +265,8 @@ class ShardedEngine {
                         int scatter_threads) const;
 
   /// The shared scan body of QueryBatch/QueryMappedBatch: fills results and
-  /// stats (both pre-sized to the batch) tile by tile, or per query when
-  /// the prefilter decides scans.
+  /// stats (both pre-sized to the batch) tile by tile, or per query for
+  /// MODE=approx.
   void ScanMappedBatch(const std::vector<std::vector<uint8_t>>& fingerprints,
                        const QueryOptions& options,
                        std::vector<Ranking>* results,

@@ -100,9 +100,10 @@ Result<WireRequest> ParseWireRequest(const std::string& line) {
       const std::string key = token.substr(0, eq);
       const std::string value = token.substr(eq + 1);
       if (key == "MODE") {
-        if (value == "auto") {
-          request.options.scan_mode = ScanMode::kAuto;
-        } else if (value == "full") {
+        // "auto" is kept as an alias of "full" for existing clients: both
+        // parse to the same options, so they share one cache key and one
+        // coalescing span.
+        if (value == "auto" || value == "full") {
           request.options.scan_mode = ScanMode::kFull;
         } else if (value == "approx") {
           request.options.scan_mode = ScanMode::kApprox;

@@ -36,11 +36,11 @@ namespace gdim {
 /// QUERY accepts optional KEY=VALUE option tokens between <k> and the
 /// graph (a gSpan token never contains '=', so the first '='-free token
 /// starts the graph). Known keys: MODE=auto|full|approx
-/// (QueryOptions::scan_mode), NPROBE=<n>|all (QueryOptions::nprobe;
-/// how many IVF buckets a MODE=approx query probes per shard — rejected
-/// without MODE=approx), and TRACE=0|1 (1 prepends a 'TRACE key=value ...'
-/// per-stage breakdown line to the OK response). An unknown key or a bad
-/// value is a typed ERR InvalidArgument.
+/// (QueryOptions::scan_mode; auto is an alias of full), NPROBE=<n>|all
+/// (QueryOptions::nprobe; how many IVF buckets a MODE=approx query probes
+/// per shard — rejected without MODE=approx), and TRACE=0|1 (1 prepends a
+/// 'TRACE key=value ...' per-stage breakdown line to the OK response). An
+/// unknown key or a bad value is a typed ERR InvalidArgument.
 
 /// Request verbs.
 enum class WireVerb {

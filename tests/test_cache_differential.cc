@@ -10,9 +10,11 @@
 // the scoped trace for replay.
 //
 // Coverage: shard counts {1, 4} x thread counts {1, 8} x 30 seeds = 120
-// random interleavings (the acceptance floor is 100), with the containment
-// prefilter on for half the seeds so both scan modes churn through the
-// cache.
+// random interleavings (the acceptance floor is 100). Half the seeds issue
+// MODE=approx NPROBE=all queries instead of MODE=full ones, so both scan
+// modes (and both cache-key tags) churn through the cache; probing every
+// IVF bucket prunes nothing, so those answers must match the same exact
+// brute-force reference.
 
 #include <gtest/gtest.h>
 
@@ -100,7 +102,6 @@ void RunChurnInterleaving(int shards, int threads, uint64_t seed) {
   ShardedOptions opts;
   opts.num_shards = shards;
   opts.serve.threads = threads;
-  opts.serve.containment_prefilter = seed % 2 == 0;
   Result<ShardedEngine> engine =
       ShardedEngine::FromIndex(model.ToIndex(), opts);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -117,6 +118,7 @@ void RunChurnInterleaving(int shards, int threads, uint64_t seed) {
     probes.push_back(std::move(bits));
   }
   const std::vector<int> ks = {0, 1, 3, 7, 50};
+  const bool approx = seed % 2 == 0;
 
   uint64_t queries_issued = 0;
   const int ops = rng.UniformInt(30, 50);
@@ -179,24 +181,24 @@ void RunChurnInterleaving(int shards, int threads, uint64_t seed) {
         const int k =
             ks[static_cast<size_t>(rng.UniformInt(
                 0, static_cast<int>(ks.size()) - 1))];
-        // The reference runs single-engine, single-threaded, uncached —
-        // but with the same prefilter setting: the containment prefilter
-        // is deliberately lossy for similarity, so it is part of the
-        // configuration under test, not noise to normalize away.
-        ServeOptions brute_opts;
-        brute_opts.containment_prefilter = opts.serve.containment_prefilter;
-        Result<QueryEngine> brute =
-            QueryEngine::FromIndex(model.ToIndex(), brute_opts);
+        // The reference runs single-engine, single-threaded, uncached,
+        // and always as an exact full scan.
+        Result<QueryEngine> brute = QueryEngine::FromIndex(model.ToIndex());
         ASSERT_TRUE(brute.ok()) << brute.status().ToString();
         const Ranking want = brute->Query(GraphForBits(probe), {.k = k});
 
-        Result<Ranking> first = executor.Query(GraphForBits(probe), {.k = k});
+        QueryOptions options{.k = k};
+        if (approx) {
+          options.scan_mode = ScanMode::kApprox;
+          options.nprobe = kNprobeAll;
+        }
+        Result<Ranking> first = executor.Query(GraphForBits(probe), options);
         ASSERT_TRUE(first.ok()) << first.status().ToString();
         ExpectRankingEq(*first, want, "cold query vs brute force");
         // No mutation can interleave (this test is the only producer), so
         // the second ask is served at the same epoch — from the cache if
         // it fits — and must be byte-for-byte the same answer.
-        Result<Ranking> second = executor.Query(GraphForBits(probe), {.k = k});
+        Result<Ranking> second = executor.Query(GraphForBits(probe), options);
         ASSERT_TRUE(second.ok()) << second.status().ToString();
         ExpectRankingEq(*second, want, "repeat (cache-hit) query vs brute");
         ++queries_issued;
@@ -211,6 +213,9 @@ void RunChurnInterleaving(int shards, int threads, uint64_t seed) {
   const BatchExecutorStats stats = executor.Stats();
   if (queries_issued > 0) {
     EXPECT_GE(stats.cache.hits, queries_issued);
+    // The first query always misses, so an approx seed scanned at least
+    // once through the probe path; an exact seed never did.
+    EXPECT_EQ(stats.approx_queries > 0, approx);
   }
   EXPECT_EQ(stats.cache.max_bytes, executor_opts.cache_bytes);
 }

@@ -121,14 +121,17 @@ TEST(WireTest, ParseRequestAcceptsQueryOptionTokens) {
   EXPECT_EQ(full->options.scan_mode, ScanMode::kFull);
   EXPECT_EQ(full->graph, LabelGraph({1, 2}));
 
+  // MODE=auto is an alias of MODE=full: the same options, hence one cache
+  // key and one coalescing span.
   auto automatic = ParseWireRequest("QUERY 7 MODE=auto " + spec);
   ASSERT_TRUE(automatic.ok());
-  EXPECT_EQ(automatic->options.scan_mode, ScanMode::kAuto);
+  EXPECT_EQ(automatic->options.scan_mode, ScanMode::kFull);
+  EXPECT_EQ(automatic->options, full->options);
 
   // Repeats are allowed; the last one wins, like every KEY=VALUE protocol.
-  auto last = ParseWireRequest("QUERY 7 MODE=full MODE=auto " + spec);
+  auto last = ParseWireRequest("QUERY 7 MODE=approx MODE=auto " + spec);
   ASSERT_TRUE(last.ok());
-  EXPECT_EQ(last->options.scan_mode, ScanMode::kAuto);
+  EXPECT_EQ(last->options.scan_mode, ScanMode::kFull);
 }
 
 TEST(WireTest, ParseRequestRejectsMalformedLines) {
@@ -320,8 +323,8 @@ TEST_F(NetServerTest, QueryModeOptionTravelsOverTheWire) {
   Client client(server_->port());
   const Graph probe = LabelGraph({0, 2, 4});
   const std::string spec = EncodeGraphInline(probe);
-  // This fixture has no prefilter, so kAuto and kFull answer identically —
-  // the wire option must parse, execute, and change nothing.
+  // MODE=auto and MODE=full are the same exact scan as no option — the
+  // wire option must parse, execute, and change nothing.
   const std::string expected =
       FormatRankingResponse(shadow_->Query(probe, {.k = 5}));
   EXPECT_EQ(client.Rpc("QUERY 5 " + spec), expected);

@@ -1,11 +1,10 @@
 // Reindex subsystem tests: the background dimension refresh produces
 // deterministic generations, the hot swap is bit-identical to an offline
-// rebuild over the same live set and seed (across shard counts, thread
-// counts, and prefilter settings), epoch/generation counters prove the
-// result cache never crosses a generation boundary, and — via a FIFO-parked
-// selection — queries and mutations demonstrably flow while a refresh is in
-// progress, with churn-during-selection reconciled into the swapped
-// generation.
+// rebuild over the same live set and seed (across shard and thread counts),
+// epoch/generation counters prove the result cache never crosses a
+// generation boundary, and — via a FIFO-parked selection — queries and
+// mutations demonstrably flow while a refresh is in progress, with
+// churn-during-selection reconciled into the swapped generation.
 
 #include <gtest/gtest.h>
 
@@ -215,9 +214,9 @@ TEST(GenerationSwapTest, ShardedSwapBumpsEpochAndGeneration) {
 /// The acceptance differential: churn through the executor, REINDEX, and
 /// compare the swapped-in generation's answers bit-for-bit against a fresh
 /// engine built offline (same pipeline, same live set, same seed) — at
-/// shards {1, 4} × threads {1, 8}, with and without the containment
-/// prefilter; half the combinations compact mid-churn. Epoch, generation,
-/// and cache counters prove the swap invalidated every cached answer.
+/// shards {1, 4} × threads {1, 8}; half the combinations compact
+/// mid-churn. Epoch, generation, and cache counters prove the swap
+/// invalidated every cached answer.
 TEST(ReindexDifferentialTest, SwapMatchesOfflineRebuild) {
   const GraphDatabase corpus = GenerateChemDatabase(SmallChem(26, 77));
   const GraphDatabase fresh_graphs =
@@ -229,115 +228,111 @@ TEST(ReindexDifferentialTest, SwapMatchesOfflineRebuild) {
   int combo = 0;
   for (int shards : {1, 4}) {
     for (int threads : {1, 8}) {
-      for (bool prefilter : {false, true}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards) + " threads=" +
-                     std::to_string(threads) +
-                     (prefilter ? " prefilter" : ""));
-        ShardedOptions engine_opts;
-        engine_opts.num_shards = shards;
-        engine_opts.serve.threads = threads;
-        engine_opts.serve.containment_prefilter = prefilter;
-        auto engine = ShardedEngine::FromIndex(index, engine_opts);
-        ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-        GraphStore store = StoreOf(corpus);
+      SCOPED_TRACE("shards=" + std::to_string(shards) + " threads=" +
+                   std::to_string(threads));
+      ShardedOptions engine_opts;
+      engine_opts.num_shards = shards;
+      engine_opts.serve.threads = threads;
+      auto engine = ShardedEngine::FromIndex(index, engine_opts);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      GraphStore store = StoreOf(corpus);
 
-        BatchExecutorOptions executor_opts;
-        executor_opts.cache_bytes = 1 << 20;
-        executor_opts.store = &store;
-        executor_opts.refresh = FastRefresh("DSPMap", 0, 13);
-        BatchExecutor executor(&*engine, executor_opts);
+      BatchExecutorOptions executor_opts;
+      executor_opts.cache_bytes = 1 << 20;
+      executor_opts.store = &store;
+      executor_opts.refresh = FastRefresh("DSPMap", 0, 13);
+      BatchExecutor executor(&*engine, executor_opts);
 
-        // Churn: insert the shifted graphs, remove every fourth original.
-        for (const Graph& g : fresh_graphs) {
-          ASSERT_TRUE(executor.Insert(g).ok());
-        }
-        for (size_t id = 0; id < corpus.size(); id += 4) {
-          ASSERT_TRUE(executor.Remove(static_cast<int>(id)).ok());
-        }
-        if (combo % 2 == 0) {
-          Result<int> reclaimed = executor.Compact();
-          ASSERT_TRUE(reclaimed.ok());
-          EXPECT_EQ(*reclaimed, static_cast<int>((corpus.size() + 3) / 4));
-        }
-
-        // Warm the cache on the old generation, and capture pre-swap
-        // gauges.
-        std::vector<Ranking> before;
-        for (const Graph& p : probes) {
-          Result<Ranking> cold = executor.Query(p, {.k = 6});
-          ASSERT_TRUE(cold.ok());
-          Result<Ranking> hot = executor.Query(p, {.k = 6});
-          ASSERT_TRUE(hot.ok());
-          EXPECT_EQ(*hot, *cold);
-          before.push_back(std::move(*cold));
-        }
-        Result<EngineGauges> pre = executor.Gauges();
-        ASSERT_TRUE(pre.ok());
-        EXPECT_EQ(pre->generation, 0u);
-        ASSERT_GE(executor.Stats().cache.hits, probes.size());
-
-        // The online reindex. It is ONE client request: the internal
-        // generation-adoption step must not fabricate a phantom entry in
-        // the accepted/completed arithmetic clients do from STATS deltas.
-        const uint64_t accepted_before = executor.Stats().accepted;
-        Result<ReindexReport> report = executor.Reindex(8);
-        ASSERT_TRUE(report.ok()) << report.status().ToString();
-        EXPECT_EQ(report->generation, 1u);
-        EXPECT_EQ(report->features, 8);
-        EXPECT_EQ(report->remapped, 0);  // no churn during this refresh
-        const BatchExecutorStats drained = executor.Stats();
-        EXPECT_EQ(drained.accepted, accepted_before + 1);
-        EXPECT_EQ(drained.completed, drained.accepted);
-
-        Result<EngineGauges> post = executor.Gauges();
-        ASSERT_TRUE(post.ok());
-        EXPECT_GT(post->epoch, pre->epoch);
-        EXPECT_EQ(post->generation, 1u);
-        EXPECT_EQ(post->features, 8);
-        EXPECT_EQ(post->graphs, pre->graphs);
-        const BatchExecutorStats stats = executor.Stats();
-        EXPECT_EQ(stats.reindexes_completed, 1u);
-        EXPECT_EQ(stats.reindexes_in_progress, 0u);
-
-        // The offline rebuild: same live set, same pipeline, same seed.
-        RefreshOptions offline_opts = FastRefresh("DSPMap", 8, 13);
-        // The executor is idle (every request above has drained), so this
-        // thread may act as the store's writer for the capture.
-        ScopedRole store_writer(&store.writer_role());
-        Result<RefreshedGeneration> offline =
-            BuildGeneration(store.Freeze(), offline_opts);
-        ASSERT_TRUE(offline.ok()) << offline.status().ToString();
-        PersistedIndex offline_index;
-        offline_index.features = std::move(offline->features);
-        offline_index.db_bits = std::move(offline->fingerprints);
-        offline_index.ids = std::move(offline->ids);
-        auto offline_engine =
-            ShardedEngine::FromIndex(std::move(offline_index), engine_opts);
-        ASSERT_TRUE(offline_engine.ok());
-
-        // Cross-generation proof on a distinguished probe: probes[0] is
-        // cached on the OLD generation (warmed above); its first query
-        // after the swap must be a fresh miss — the epoch bump makes the
-        // old entry unreachable — answered exactly like the offline build.
-        const uint64_t hits_at_swap = executor.Stats().cache.hits;
-        const uint64_t misses_at_swap = executor.Stats().cache.misses;
-        Result<Ranking> first = executor.Query(probes[0], {.k = 6});
-        ASSERT_TRUE(first.ok());
-        EXPECT_EQ(*first, offline_engine->Query(probes[0], {.k = 6}));
-        EXPECT_EQ(executor.Stats().cache.hits, hits_at_swap)
-            << "a cached answer crossed the generation boundary";
-        EXPECT_EQ(executor.Stats().cache.misses, misses_at_swap + 1);
-
-        // Bit-identical answers for the whole probe set (probes sharing a
-        // fingerprint may legitimately hit same-generation entries now).
-        for (size_t i = 0; i < probes.size(); ++i) {
-          const Ranking expected = offline_engine->Query(probes[i], {.k = 6});
-          Result<Ranking> got = executor.Query(probes[i], {.k = 6});
-          ASSERT_TRUE(got.ok());
-          EXPECT_EQ(*got, expected) << "probe " << i;
-        }
-        ++combo;
+      // Churn: insert the shifted graphs, remove every fourth original.
+      for (const Graph& g : fresh_graphs) {
+        ASSERT_TRUE(executor.Insert(g).ok());
       }
+      for (size_t id = 0; id < corpus.size(); id += 4) {
+        ASSERT_TRUE(executor.Remove(static_cast<int>(id)).ok());
+      }
+      if (combo % 2 == 0) {
+        Result<int> reclaimed = executor.Compact();
+        ASSERT_TRUE(reclaimed.ok());
+        EXPECT_EQ(*reclaimed, static_cast<int>((corpus.size() + 3) / 4));
+      }
+
+      // Warm the cache on the old generation, and capture pre-swap
+      // gauges.
+      std::vector<Ranking> before;
+      for (const Graph& p : probes) {
+        Result<Ranking> cold = executor.Query(p, {.k = 6});
+        ASSERT_TRUE(cold.ok());
+        Result<Ranking> hot = executor.Query(p, {.k = 6});
+        ASSERT_TRUE(hot.ok());
+        EXPECT_EQ(*hot, *cold);
+        before.push_back(std::move(*cold));
+      }
+      Result<EngineGauges> pre = executor.Gauges();
+      ASSERT_TRUE(pre.ok());
+      EXPECT_EQ(pre->generation, 0u);
+      ASSERT_GE(executor.Stats().cache.hits, probes.size());
+
+      // The online reindex. It is ONE client request: the internal
+      // generation-adoption step must not fabricate a phantom entry in
+      // the accepted/completed arithmetic clients do from STATS deltas.
+      const uint64_t accepted_before = executor.Stats().accepted;
+      Result<ReindexReport> report = executor.Reindex(8);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(report->generation, 1u);
+      EXPECT_EQ(report->features, 8);
+      EXPECT_EQ(report->remapped, 0);  // no churn during this refresh
+      const BatchExecutorStats drained = executor.Stats();
+      EXPECT_EQ(drained.accepted, accepted_before + 1);
+      EXPECT_EQ(drained.completed, drained.accepted);
+
+      Result<EngineGauges> post = executor.Gauges();
+      ASSERT_TRUE(post.ok());
+      EXPECT_GT(post->epoch, pre->epoch);
+      EXPECT_EQ(post->generation, 1u);
+      EXPECT_EQ(post->features, 8);
+      EXPECT_EQ(post->graphs, pre->graphs);
+      const BatchExecutorStats stats = executor.Stats();
+      EXPECT_EQ(stats.reindexes_completed, 1u);
+      EXPECT_EQ(stats.reindexes_in_progress, 0u);
+
+      // The offline rebuild: same live set, same pipeline, same seed.
+      RefreshOptions offline_opts = FastRefresh("DSPMap", 8, 13);
+      // The executor is idle (every request above has drained), so this
+      // thread may act as the store's writer for the capture.
+      ScopedRole store_writer(&store.writer_role());
+      Result<RefreshedGeneration> offline =
+          BuildGeneration(store.Freeze(), offline_opts);
+      ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+      PersistedIndex offline_index;
+      offline_index.features = std::move(offline->features);
+      offline_index.db_bits = std::move(offline->fingerprints);
+      offline_index.ids = std::move(offline->ids);
+      auto offline_engine =
+          ShardedEngine::FromIndex(std::move(offline_index), engine_opts);
+      ASSERT_TRUE(offline_engine.ok());
+
+      // Cross-generation proof on a distinguished probe: probes[0] is
+      // cached on the OLD generation (warmed above); its first query
+      // after the swap must be a fresh miss — the epoch bump makes the
+      // old entry unreachable — answered exactly like the offline build.
+      const uint64_t hits_at_swap = executor.Stats().cache.hits;
+      const uint64_t misses_at_swap = executor.Stats().cache.misses;
+      Result<Ranking> first = executor.Query(probes[0], {.k = 6});
+      ASSERT_TRUE(first.ok());
+      EXPECT_EQ(*first, offline_engine->Query(probes[0], {.k = 6}));
+      EXPECT_EQ(executor.Stats().cache.hits, hits_at_swap)
+          << "a cached answer crossed the generation boundary";
+      EXPECT_EQ(executor.Stats().cache.misses, misses_at_swap + 1);
+
+      // Bit-identical answers for the whole probe set (probes sharing a
+      // fingerprint may legitimately hit same-generation entries now).
+      for (size_t i = 0; i < probes.size(); ++i) {
+        const Ranking expected = offline_engine->Query(probes[i], {.k = 6});
+        Result<Ranking> got = executor.Query(probes[i], {.k = 6});
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(*got, expected) << "probe " << i;
+      }
+      ++combo;
     }
   }
 }

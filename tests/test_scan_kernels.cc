@@ -368,9 +368,7 @@ TEST(ScanKernelTest, TiledBatchMatchesSingleQueriesAcrossMutations) {
     index.features.push_back(f);
   }
   index.db_bits = RandomBitRows(40, p, 0.4, &rng);
-  ServeOptions options;
-  options.containment_prefilter = false;
-  Result<QueryEngine> built = QueryEngine::FromIndex(index, options);
+  Result<QueryEngine> built = QueryEngine::FromIndex(index);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   QueryEngine engine = std::move(built).value();
   // This test body is the engine's single writer.

@@ -213,7 +213,6 @@ TEST_F(QueryEngineTest, MatchesOfflineMappedRanking) {
     const Ranking got = engine->Query(q, {.k = 5}, &stats);
     EXPECT_EQ(got, expected);
     EXPECT_EQ(stats.scanned, engine->num_graphs());
-    EXPECT_FALSE(stats.prefiltered);
   }
 }
 
@@ -240,76 +239,6 @@ TEST_F(QueryEngineTest, BatchIsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(stats1[i].scanned, stats8[i].scanned);
     EXPECT_EQ(stats1[i].features_on, stats8[i].features_on);
   }
-}
-
-TEST_F(QueryEngineTest, PrefilterNeverWidensAndKeepsOrder) {
-  ServeOptions opts;
-  opts.containment_prefilter = true;
-  auto engine = QueryEngine::FromIndex(*index_, opts);
-  ASSERT_TRUE(engine.ok());
-  auto plain = QueryEngine::FromIndex(*index_);
-  ASSERT_TRUE(plain.ok());
-  for (const Graph& q : *queries_) {
-    ServeQueryStats stats;
-    const Ranking got = engine->Query(q, {.k = 3}, &stats);
-    EXPECT_LE(stats.scanned, engine->num_graphs());
-    for (size_t i = 1; i < got.size(); ++i) {
-      EXPECT_LE(got[i - 1].score, got[i].score);
-    }
-    if (!stats.prefiltered) {
-      // Fallback path must equal the unfiltered engine exactly.
-      EXPECT_EQ(got, plain->Query(q, {.k = 3}));
-    }
-  }
-}
-
-// A fully controllable index: feature r is the single vertex labeled r, so a
-// graph's fingerprint is exactly its vertex-label set. Lets us pick the
-// candidate sets the prefilter must produce and assert the narrowed scan is
-// exact, not merely ordered.
-TEST(QueryEnginePrefilterTest, NarrowedScanEqualsRestrictedFullRanking) {
-  const int kLabels = 4;
-  PersistedIndex index;
-  for (LabelId r = 0; r < kLabels; ++r) {
-    Graph f;
-    f.AddVertex(r);
-    index.features.push_back(f);
-  }
-  // Label sets per database graph (as paths); bits = label membership.
-  const std::vector<std::vector<LabelId>> label_sets = {
-      {0, 1}, {0, 1, 2}, {0, 1, 2, 3}, {2, 3}, {0, 2}, {1, 3}, {0, 1, 3},
-  };
-  for (const auto& labels : label_sets) {
-    std::vector<uint8_t> bits(kLabels, 0);
-    for (LabelId l : labels) bits[static_cast<size_t>(l)] = 1;
-    index.db_bits.push_back(bits);
-  }
-  ServeOptions opts;
-  opts.containment_prefilter = true;
-  auto engine = QueryEngine::FromIndex(index, opts);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-
-  // Query with labels {0, 1}: candidates = graphs 0, 1, 2, 6.
-  Graph q;
-  q.AddVertex(0);
-  q.AddVertex(1);
-  q.AddEdge(0, 1, 0);
-  ServeQueryStats stats;
-  const Ranking got = engine->Query(q, {.k = 3}, &stats);
-  EXPECT_TRUE(stats.prefiltered);
-  EXPECT_EQ(stats.scanned, 4);
-  EXPECT_EQ(stats.features_on, 2);
-
-  // Expected: the full byte-vector ranking restricted to the candidates.
-  FeatureMapper mapper(index.features);
-  Ranking expected;
-  for (const RankedResult& r : MappedRanking(mapper.Map(q), index.db_bits)) {
-    if (r.id == 0 || r.id == 1 || r.id == 2 || r.id == 6) {
-      expected.push_back(r);
-    }
-  }
-  expected.resize(3);
-  EXPECT_EQ(got, expected);
 }
 
 TEST_F(QueryEngineTest, RejectsRaggedIndexRows) {
@@ -395,84 +324,80 @@ struct ShadowDb {
 TEST_F(QueryEngineTest, MutationSequenceMatchesFreshEngineAcrossThreads) {
   FeatureMapper mapper(index_->features);
   for (int threads : {1, 8}) {
-    for (bool prefilter : {false, true}) {
-      ServeOptions opts;
-      opts.threads = threads;
-      opts.containment_prefilter = prefilter;
-      auto engine = QueryEngine::FromIndex(*index_, opts);
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      // This test body is the engine's single writer.
-      ScopedRole writer(&engine->writer_role());
+    ServeOptions opts;
+    opts.threads = threads;
+    auto engine = QueryEngine::FromIndex(*index_, opts);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    // This test body is the engine's single writer.
+    ScopedRole writer(&engine->writer_role());
 
-      ShadowDb shadow;
-      for (const auto& bits : index_->db_bits) shadow.Insert(bits);
+    ShadowDb shadow;
+    for (const auto& bits : index_->db_bits) shadow.Insert(bits);
 
-      // Interleaved mutation script: removes, inserts, a mid-sequence
-      // compaction, then more churn on both old and new ids.
-      for (int id : {1, 5, 19, 38}) {
-        ASSERT_TRUE(engine->Remove(id).ok());
-        shadow.Remove(id);
-      }
-      for (int i = 0; i < 10; ++i) {
-        const Graph& g = (*queries_)[static_cast<size_t>(i)];
-        auto inserted = engine->Insert(g);
-        ASSERT_TRUE(inserted.ok());
-        EXPECT_EQ(*inserted, shadow.next_id);
-        shadow.Insert(mapper.Map(g));
-      }
-      engine->Compact();
-      EXPECT_EQ(engine->delta_rows(), 0);
-      EXPECT_EQ(engine->tombstoned_rows(), 0);
-      for (int id : {0, 2, 40, 44}) {  // ids 40/44 came from the delta
-        ASSERT_TRUE(engine->Remove(id).ok());
-        shadow.Remove(id);
-      }
-      for (int i = 10; i < 16; ++i) {
-        const Graph& g = (*queries_)[static_cast<size_t>(i)];
-        ASSERT_TRUE(engine->Insert(g).ok());
-        shadow.Insert(mapper.Map(g));
-      }
+    // Interleaved mutation script: removes, inserts, a mid-sequence
+    // compaction, then more churn on both old and new ids.
+    for (int id : {1, 5, 19, 38}) {
+      ASSERT_TRUE(engine->Remove(id).ok());
+      shadow.Remove(id);
+    }
+    for (int i = 0; i < 10; ++i) {
+      const Graph& g = (*queries_)[static_cast<size_t>(i)];
+      auto inserted = engine->Insert(g);
+      ASSERT_TRUE(inserted.ok());
+      EXPECT_EQ(*inserted, shadow.next_id);
+      shadow.Insert(mapper.Map(g));
+    }
+    engine->Compact();
+    EXPECT_EQ(engine->delta_rows(), 0);
+    EXPECT_EQ(engine->tombstoned_rows(), 0);
+    for (int id : {0, 2, 40, 44}) {  // ids 40/44 came from the delta
+      ASSERT_TRUE(engine->Remove(id).ok());
+      shadow.Remove(id);
+    }
+    for (int i = 10; i < 16; ++i) {
+      const Graph& g = (*queries_)[static_cast<size_t>(i)];
+      ASSERT_TRUE(engine->Insert(g).ok());
+      shadow.Insert(mapper.Map(g));
+    }
 
-      // Mutation-surface sanity: ids are stable and misuse is graceful.
-      EXPECT_EQ(engine->alive_ids(), shadow.ids());
-      EXPECT_EQ(engine->num_graphs(), static_cast<int>(shadow.rows.size()));
-      EXPECT_EQ(engine->Remove(5).code(), StatusCode::kNotFound);  // twice
-      EXPECT_EQ(engine->Remove(9999).code(), StatusCode::kNotFound);
-      EXPECT_EQ(engine->InsertMapped(std::vector<uint8_t>(3, 0))
-                    .status()
-                    .code(),
-                StatusCode::kInvalidArgument);
+    // Mutation-surface sanity: ids are stable and misuse is graceful.
+    EXPECT_EQ(engine->alive_ids(), shadow.ids());
+    EXPECT_EQ(engine->num_graphs(), static_cast<int>(shadow.rows.size()));
+    EXPECT_EQ(engine->Remove(5).code(), StatusCode::kNotFound);  // twice
+    EXPECT_EQ(engine->Remove(9999).code(), StatusCode::kNotFound);
+    EXPECT_EQ(engine->InsertMapped(std::vector<uint8_t>(3, 0))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
 
-      // The invariant: bit-identical QueryBatch vs a fresh engine over the
-      // equivalent database, after mapping the fresh engine's positional
-      // ids through the live id list.
-      auto fresh =
-          QueryEngine::FromIndex(shadow.Equivalent(index_->features), opts);
-      ASSERT_TRUE(fresh.ok());
-      const std::vector<int> live_ids = shadow.ids();
-      for (int k : {0, 3, 1000}) {
-        std::vector<Ranking> expected = fresh->QueryBatch(*queries_, {.k = k});
-        for (Ranking& ranking : expected) {
-          for (RankedResult& r : ranking) {
-            r.id = live_ids[static_cast<size_t>(r.id)];
-          }
-        }
-        EXPECT_EQ(engine->QueryBatch(*queries_, {.k = k}), expected)
-            << "threads=" << threads << " prefilter=" << prefilter
-            << " k=" << k;
-      }
-
-      // And the same invariant again after a final compaction.
-      engine->Compact();
-      std::vector<Ranking> expected = fresh->QueryBatch(*queries_, {.k = 4});
+    // The invariant: bit-identical QueryBatch vs a fresh engine over the
+    // equivalent database, after mapping the fresh engine's positional
+    // ids through the live id list.
+    auto fresh =
+        QueryEngine::FromIndex(shadow.Equivalent(index_->features), opts);
+    ASSERT_TRUE(fresh.ok());
+    const std::vector<int> live_ids = shadow.ids();
+    for (int k : {0, 3, 1000}) {
+      std::vector<Ranking> expected = fresh->QueryBatch(*queries_, {.k = k});
       for (Ranking& ranking : expected) {
         for (RankedResult& r : ranking) {
           r.id = live_ids[static_cast<size_t>(r.id)];
         }
       }
-      EXPECT_EQ(engine->QueryBatch(*queries_, {.k = 4}), expected);
-      EXPECT_EQ(engine->alive_ids(), live_ids);
+      EXPECT_EQ(engine->QueryBatch(*queries_, {.k = k}), expected)
+          << "threads=" << threads << " k=" << k;
     }
+
+    // And the same invariant again after a final compaction.
+    engine->Compact();
+    std::vector<Ranking> expected = fresh->QueryBatch(*queries_, {.k = 4});
+    for (Ranking& ranking : expected) {
+      for (RankedResult& r : ranking) {
+        r.id = live_ids[static_cast<size_t>(r.id)];
+      }
+    }
+    EXPECT_EQ(engine->QueryBatch(*queries_, {.k = 4}), expected);
+    EXPECT_EQ(engine->alive_ids(), live_ids);
   }
 }
 
@@ -487,9 +412,8 @@ TEST_F(QueryEngineTest, NegativeKAnswersEmptyInsteadOfAborting) {
   for (const Ranking& r : batch) EXPECT_TRUE(r.empty());
 }
 
-/// Single-vertex-feature index (see NarrowedScanEqualsRestrictedFullRanking)
-/// with one feature nobody contains, so a query can force an empty stage-2
-/// intersection.
+/// A fully controllable index: feature r is the single vertex labeled r, so
+/// a graph's fingerprint is exactly its vertex-label set.
 PersistedIndex LabelSetIndex() {
   const int kLabels = 5;  // feature 4 has empty support
   PersistedIndex index;
@@ -513,33 +437,6 @@ Graph LabelGraph(std::vector<LabelId> labels) {
   Graph g;
   for (LabelId l : labels) g.AddVertex(l);
   return g;
-}
-
-TEST(QueryEnginePrefilterTest, EmptyIntersectionFallsBackEvenAtKZero) {
-  ServeOptions opts;
-  opts.containment_prefilter = true;
-  auto engine = QueryEngine::FromIndex(LabelSetIndex(), opts);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-
-  // Labels {0, 4}: sup(0) ∩ sup(4) = ∅. A zero-row scan is not a narrowed
-  // scan — the documented fallback must fire, also at k == 0.
-  for (int k : {0, 3}) {
-    ServeQueryStats stats;
-    const Ranking got = engine->Query(LabelGraph({0, 4}), {.k = k}, &stats);
-    EXPECT_FALSE(stats.prefiltered) << "k=" << k;
-    EXPECT_EQ(stats.scanned, engine->num_graphs()) << "k=" << k;
-    if (k == 0) {
-      EXPECT_TRUE(got.empty());
-    } else {
-      EXPECT_EQ(got.size(), 3u);
-    }
-  }
-
-  // A non-empty candidate set still counts as narrowed at k == 0.
-  ServeQueryStats stats;
-  EXPECT_TRUE(engine->Query(LabelGraph({0, 3}), {.k = 0}, &stats).empty());
-  EXPECT_TRUE(stats.prefiltered);
-  EXPECT_EQ(stats.scanned, 2);  // graphs {0,1,2,3} and {0,1,3}
 }
 
 TEST(QueryEngineEmptyTest, EmptyDatabaseValidatesAndServes) {

@@ -25,12 +25,10 @@
 namespace gdim {
 namespace {
 
-ShardedOptions Sharded(int num_shards, int threads = 0,
-                       bool prefilter = false) {
+ShardedOptions Sharded(int num_shards, int threads = 0) {
   ShardedOptions opts;
   opts.num_shards = num_shards;
   opts.serve.threads = threads;
-  opts.serve.containment_prefilter = prefilter;
   return opts;
 }
 
@@ -104,58 +102,52 @@ TEST_F(ShardedEngineTest, ScatterStatsAggregateAcrossShards) {
   EXPECT_EQ(static_cast<int>(top.size()), 5);
   // Full scans in every shard sum to the whole database.
   EXPECT_EQ(stats.scanned, engine->num_graphs());
-  EXPECT_FALSE(stats.prefiltered);
   EXPECT_GT(stats.latency_ms, 0.0);
 }
 
 TEST_F(ShardedEngineTest, InterleavedChurnStaysIdenticalToSingleEngine) {
   FeatureMapper mapper(index_->features);
   for (int threads : {1, 8}) {
-    for (bool prefilter : {false, true}) {
-      ServeOptions serve;
-      serve.threads = threads;
-      serve.containment_prefilter = prefilter;
-      auto single = QueryEngine::FromIndex(*index_, serve);
-      ASSERT_TRUE(single.ok());
-      auto sharded = ShardedEngine::FromIndex(
-          *index_, Sharded(4, threads, prefilter));
-      ASSERT_TRUE(sharded.ok());
-      // This test body is both engines' single writer.
-      ScopedRole single_writer(&single->writer_role());
-      ScopedRole sharded_writer(&sharded->writer_role());
+    ServeOptions serve;
+    serve.threads = threads;
+    auto single = QueryEngine::FromIndex(*index_, serve);
+    ASSERT_TRUE(single.ok());
+    auto sharded = ShardedEngine::FromIndex(*index_, Sharded(4, threads));
+    ASSERT_TRUE(sharded.ok());
+    // This test body is both engines' single writer.
+    ScopedRole single_writer(&single->writer_role());
+    ScopedRole sharded_writer(&sharded->writer_role());
 
-      // Identical mutation script against both engines: the sharded id
-      // sequence must mirror the single engine's exactly.
-      for (int id : {1, 5, 19, 38}) {
-        ASSERT_TRUE(single->Remove(id).ok());
-        ASSERT_TRUE(sharded->Remove(id).ok());
-      }
-      for (int i = 0; i < 10; ++i) {
-        const Graph& g = (*queries_)[static_cast<size_t>(i)];
-        auto single_id = single->Insert(g);
-        auto sharded_id = sharded->Insert(g);
-        ASSERT_TRUE(single_id.ok());
-        ASSERT_TRUE(sharded_id.ok());
-        EXPECT_EQ(*single_id, *sharded_id);
-      }
-      sharded->Compact();
-      single->Compact();
-      for (int id : {0, 2, 40, 44}) {  // 40/44 were inserted above
-        ASSERT_TRUE(single->Remove(id).ok());
-        ASSERT_TRUE(sharded->Remove(id).ok());
-      }
-      EXPECT_EQ(sharded->Remove(5).code(), StatusCode::kNotFound);  // twice
-      EXPECT_EQ(sharded->Remove(-3).code(), StatusCode::kNotFound);
-      EXPECT_EQ(sharded->Remove(9999).code(), StatusCode::kNotFound);
+    // Identical mutation script against both engines: the sharded id
+    // sequence must mirror the single engine's exactly.
+    for (int id : {1, 5, 19, 38}) {
+      ASSERT_TRUE(single->Remove(id).ok());
+      ASSERT_TRUE(sharded->Remove(id).ok());
+    }
+    for (int i = 0; i < 10; ++i) {
+      const Graph& g = (*queries_)[static_cast<size_t>(i)];
+      auto single_id = single->Insert(g);
+      auto sharded_id = sharded->Insert(g);
+      ASSERT_TRUE(single_id.ok());
+      ASSERT_TRUE(sharded_id.ok());
+      EXPECT_EQ(*single_id, *sharded_id);
+    }
+    sharded->Compact();
+    single->Compact();
+    for (int id : {0, 2, 40, 44}) {  // 40/44 were inserted above
+      ASSERT_TRUE(single->Remove(id).ok());
+      ASSERT_TRUE(sharded->Remove(id).ok());
+    }
+    EXPECT_EQ(sharded->Remove(5).code(), StatusCode::kNotFound);  // twice
+    EXPECT_EQ(sharded->Remove(-3).code(), StatusCode::kNotFound);
+    EXPECT_EQ(sharded->Remove(9999).code(), StatusCode::kNotFound);
 
-      EXPECT_EQ(sharded->alive_ids(), single->alive_ids());
-      EXPECT_EQ(sharded->num_graphs(), single->num_graphs());
-      for (int k : {0, 3, 1000}) {
-        EXPECT_EQ(sharded->QueryBatch(*queries_, {.k = k}),
-                  single->QueryBatch(*queries_, {.k = k}))
-            << "threads=" << threads << " prefilter=" << prefilter
-            << " k=" << k;
-      }
+    EXPECT_EQ(sharded->alive_ids(), single->alive_ids());
+    EXPECT_EQ(sharded->num_graphs(), single->num_graphs());
+    for (int k : {0, 3, 1000}) {
+      EXPECT_EQ(sharded->QueryBatch(*queries_, {.k = k}),
+                single->QueryBatch(*queries_, {.k = k}))
+          << "threads=" << threads << " k=" << k;
     }
   }
 }

@@ -16,7 +16,8 @@ with one line per violation. Checks:
      emits (src/server/net_server.cc) must be documented in protocol.md;
      and the QUERY option keys (MODE=..., NPROBE=..., any future
      KEY=VALUE) parsed by wire.cc and documented in protocol.md must
-     agree exactly in both directions.
+     agree exactly in both directions, as must the MODE values parsed in
+     wire.cc's MODE branch and protocol.md's `MODE=a|b|c` spelling.
   4. Every NOLINT marker and every GDIM_NO_THREAD_SAFETY_ANALYSIS /
      GDIM_ASSERT_CAPABILITY use site must carry an inline justification
      (same line or the line above) — suppressions without a recorded
@@ -178,6 +179,29 @@ def check_wire_docs():
     for key in sorted(doc_keys - code_keys):
         report("src/server/wire.cc", 1,
                f"documented QUERY option {key} is not parsed "
+               "(docs/protocol.md)")
+
+    # MODE values: the `value == "..."` tests inside wire.cc's MODE branch
+    # and protocol.md's `MODE=a|b|c` spelling must agree in both
+    # directions, so a dropped or undocumented mode fails the lint.
+    mode_branch = re.search(r'key == "MODE"\)\s*\{(.*?)\}\s*else if \(key ==',
+                            wire_text, re.S)
+    doc_modes = re.search(r"`MODE=([a-z]+(?:\|[a-z]+)+)`", doc_text)
+    if not mode_branch or not doc_modes:
+        report("src/server/wire.cc" if not mode_branch else
+               "docs/protocol.md", 1,
+               "could not locate the QUERY MODE values (wire.cc's "
+               '`key == "MODE"` branch, protocol.md\'s `MODE=a|b|c`)')
+        return
+    code_modes = set(re.findall(r'value == "([a-z]+)"', mode_branch.group(1)))
+    documented_modes = set(doc_modes.group(1).split("|"))
+    for mode in sorted(code_modes - documented_modes):
+        report("docs/protocol.md", 1,
+               f"QUERY MODE={mode} is parsed by src/server/wire.cc but "
+               "missing from the `MODE=a|b|c` spelling")
+    for mode in sorted(documented_modes - code_modes):
+        report("src/server/wire.cc", 1,
+               f"documented QUERY MODE={mode} is not parsed "
                "(docs/protocol.md)")
 
 

@@ -68,14 +68,14 @@ int Usage() {
       "--minsup=0.05 --maxedges=7 --seed=S --format=v1|v2|v3]\n"
       "  query    --index=FILE --db=FILE --queries=FILE [--k=10]\n"
       "  serve    --index=FILE --queries=FILE [--k=10 --threads=N "
-      "--shards=N --prefilter --ivf-buckets=N --quiet]\n"
+      "--shards=N --ivf-buckets=N --quiet]\n"
       "  serve-net --index=FILE [--host=127.0.0.1 --port=0 --shards=1 "
       "--queue=256 --batch=64 --threads=N --max-conns=256 --cache-mb=64 "
-      "--prefilter --ivf-buckets=N --db=GRAPHS --reindex-every=N "
+      "--ivf-buckets=N --db=GRAPHS --reindex-every=N "
       "--reindex-selector=DSPMap --reindex-p=0 --reindex-minsup=0.05 "
       "--reindex-maxedges=7 --slow-query-usec=0]\n"
       "  bench-query --index=FILE --queries=FILE [--k=10 --threads=N "
-      "--shards=N --prefilter --ivf-buckets=N --repeat=5]\n"
+      "--shards=N --ivf-buckets=N --repeat=5]\n"
       "  update   --index=FILE --out=FILE [--insert=GRAPHS --remove=I,J,... "
       "--compact --format=v1|v2|v3]\n"
       "  convert  --in=FILE --out=FILE [--format=v1|v2|v3]\n"
@@ -256,7 +256,6 @@ Result<ShardedOptions> ShardedOptionsFromFlags(const Flags& flags) {
   if (!shards.ok()) return shards.status();
   opts.num_shards = *shards;
   opts.serve.threads = *threads;
-  opts.serve.containment_prefilter = flags.GetBool("prefilter", false);
   // 0 keeps the per-shard default of ceil(sqrt(rows)) IVF buckets.
   Result<int> ivf = ValidatedRange(flags, "ivf-buckets", 0, 0, 1 << 20);
   if (!ivf.ok()) return ivf.status();
@@ -301,9 +300,8 @@ int RunServe(const Flags& flags) {
       for (const RankedResult& r : results[qi]) {
         std::printf(" %d:%.4f", r.id, r.score);
       }
-      std::printf("  [%.3fms, scanned %d/%d%s]\n", per_query[qi].latency_ms,
-                  per_query[qi].scanned, engine->num_graphs(),
-                  per_query[qi].prefiltered ? ", prefiltered" : "");
+      std::printf("  [%.3fms, scanned %d/%d]\n", per_query[qi].latency_ms,
+                  per_query[qi].scanned, engine->num_graphs());
     }
   }
   std::printf(
@@ -312,13 +310,6 @@ int RunServe(const Flags& flags) {
       results.size(), engine->num_graphs(), engine->num_features(),
       report.wall_ms, report.qps,
       FormatLatencySummaryMs(report.latency_ms).c_str());
-  if (report.prefiltered_queries > 0) {
-    std::printf("# prefilter narrowed %zu/%zu queries (%.1f%% rows scanned)\n",
-                report.prefiltered_queries, results.size(),
-                100.0 * static_cast<double>(report.scanned_rows) /
-                    (static_cast<double>(engine->num_graphs()) *
-                     static_cast<double>(results.size())));
-  }
   return 0;
 }
 
