@@ -65,26 +65,6 @@ int FindRow(const std::vector<int>& ids, int id) {
   return static_cast<int>(it - ids.begin());
 }
 
-Status WriteIndexFileV1(const PersistedIndex& index, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << kV1Magic << "\n";
-  out << "features " << index.features.size() << "\n";
-  WriteGraphStream(index.features, out);
-  const size_t p = index.features.size();
-  out << "vectors " << index.db_bits.size() << " " << p << "\n";
-  for (const auto& row : index.db_bits) {
-    if (row.size() != p) {
-      return Status::InvalidArgument("bit row width mismatch");
-    }
-    for (uint8_t b : row) out << (b ? '1' : '0');
-    out << "\n";
-  }
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
 Result<PersistedIndex> ReadIndexFileV1(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open for reading: " + path);
@@ -504,8 +484,8 @@ Result<PackedIndex> ReadIndexFileV3Packed(const std::string& path) {
 }
 
 /// Legacy byte-row view of a packed load: unpack the rows, drop the
-/// sections. Only the tool paths that manipulate rows as bytes (convert,
-/// tests) pay for this; the serving load path stays packed.
+/// sections. Only the paths that manipulate rows as bytes (`gdim_tool
+/// query`, tests) pay for this; the serving load path stays packed.
 Result<PersistedIndex> UnpackToBytes(Result<PackedIndex> packed) {
   if (!packed.ok()) return packed.status();
   PersistedIndex out;
@@ -519,7 +499,7 @@ Result<PersistedIndex> UnpackToBytes(Result<PackedIndex> packed) {
   return out;
 }
 
-/// Shared v2/v3 writer-side validation of the row/id arguments. Returns the
+/// Writer-side validation of the row/id arguments. Returns the
 /// normalized next_id (-1 = derive resolved to one past the largest id).
 Result<int> ValidateRowIds(size_t p, uint64_t n, uint64_t words_per_row,
                            const std::vector<int>& ids, int next_id) {
@@ -550,8 +530,8 @@ Result<int> ValidateRowIds(size_t p, uint64_t n, uint64_t words_per_row,
   return next_id;
 }
 
-/// Streams the dimension body (the v2 layout after its fixed header; the v3
-/// DIMS payload).
+/// Streams the dimension body (the v3 DIMS payload; also the v2 layout after
+/// its fixed header, which is why v2 files remain readable).
 void WriteDimsBody(std::ostream& out, size_t p, const std::string& feature_str,
                    uint64_t n, uint64_t words_per_row,
                    const std::function<const uint64_t*(uint64_t)>& row_words,
@@ -575,63 +555,7 @@ void WriteDimsBody(std::ostream& out, size_t p, const std::string& feature_str,
   }
 }
 
-Status WriteIndexFileV2(const PersistedIndex& index, const std::string& path) {
-  const size_t p = index.features.size();
-  for (const auto& row : index.db_bits) {
-    if (row.size() != p) {
-      return Status::InvalidArgument("bit row width mismatch");
-    }
-  }
-  // Pack once through the canonical layout code and stream the row words.
-  const PackedBitMatrix packed =
-      PackedBitMatrix::FromRows(index.db_bits, static_cast<int>(p));
-  return WriteIndexFileV2Words(
-      index.features, index.db_bits.size(),
-      static_cast<uint64_t>(packed.words_per_row()),
-      [&](uint64_t i) { return packed.row(static_cast<int>(i)); }, index.ids,
-      index.next_id, path);
-}
-
-Status WriteIndexFileV3(const PersistedIndex& index, const std::string& path) {
-  const size_t p = index.features.size();
-  for (const auto& row : index.db_bits) {
-    if (row.size() != p) {
-      return Status::InvalidArgument("bit row width mismatch");
-    }
-  }
-  const PackedBitMatrix packed =
-      PackedBitMatrix::FromRows(index.db_bits, static_cast<int>(p));
-  return WriteIndexFileV3Words(
-      index.features, index.db_bits.size(),
-      static_cast<uint64_t>(packed.words_per_row()),
-      [&](uint64_t i) { return packed.row(static_cast<int>(i)); }, index.ids,
-      index.next_id, V3Sections{}, path);
-}
-
 }  // namespace
-
-Status WriteIndexFileV2Words(
-    const GraphDatabase& features, uint64_t n, uint64_t words_per_row,
-    const std::function<const uint64_t*(uint64_t)>& row_words,
-    const std::vector<int>& ids, int next_id, const std::string& path) {
-  const size_t p = features.size();
-  Result<int> normalized = ValidateRowIds(p, n, words_per_row, ids, next_id);
-  if (!normalized.ok()) return normalized.status();
-  std::ostringstream feature_text;
-  WriteGraphStream(features, feature_text);
-  const std::string feature_str = feature_text.str();
-
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out.write(kV2Magic, sizeof(kV2Magic));
-  WritePod(out, kV2HeaderVersion);
-  WritePod(out, kV2EndianTag);
-  WriteDimsBody(out, p, feature_str, n, words_per_row, row_words, ids,
-                *normalized);
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
 
 Status WriteIndexFileV3Words(
     const GraphDatabase& features, uint64_t n, uint64_t words_per_row,
@@ -777,25 +701,42 @@ Status WriteIndexFileV3Words(
   return Status::OK();
 }
 
-Result<IndexFormat> ParseIndexFormat(const std::string& name) {
-  if (name == "v1") return IndexFormat::kV1Text;
-  if (name == "v2") return IndexFormat::kV2Binary;
-  if (name == "v3") return IndexFormat::kV3Sectioned;
-  return Status::InvalidArgument("unknown index format '" + name +
-                                 "' (want v1, v2, or v3)");
+Status WritePackedIndexFile(const PackedIndex& index,
+                            const std::string& path) {
+  if (index.rows.num_bits() != static_cast<int>(index.features.size())) {
+    return Status::InvalidArgument("bit row width mismatch");
+  }
+  // Every section the index carries is written back, so a read-then-write
+  // of a v3 file reproduces it (the writer's section order is the only
+  // one it emits).
+  V3Sections sections;
+  if (index.meta.has_value()) sections.meta = &*index.meta;
+  if (index.store.has_value()) {
+    sections.store_ids = &index.store->ids;
+    sections.store_graphs = &index.store->graphs;
+  }
+  if (index.ivf.has_value()) sections.ivf = &*index.ivf;
+  return WriteIndexFileV3Words(
+      index.features, static_cast<uint64_t>(index.rows.num_rows()),
+      static_cast<uint64_t>(index.rows.words_per_row()),
+      [&](uint64_t i) { return index.rows.row(static_cast<int>(i)); },
+      index.ids, index.next_id, sections, path);
 }
 
 Status WriteIndexFile(const PersistedIndex& index, const std::string& path,
-                      IndexFormat format) {
-  switch (format) {
-    case IndexFormat::kV1Text:
-      return WriteIndexFileV1(index, path);
-    case IndexFormat::kV2Binary:
-      return WriteIndexFileV2(index, path);
-    case IndexFormat::kV3Sectioned:
-      return WriteIndexFileV3(index, path);
+                      IndexFormat /*format*/) {
+  const size_t p = index.features.size();
+  for (const auto& row : index.db_bits) {
+    if (row.size() != p) {
+      return Status::InvalidArgument("bit row width mismatch");
+    }
   }
-  return Status::InvalidArgument("unknown index format");
+  PackedIndex packed;
+  packed.features = index.features;
+  packed.rows = PackedBitMatrix::FromRows(index.db_bits, static_cast<int>(p));
+  packed.ids = index.ids;
+  packed.next_id = index.next_id;
+  return WritePackedIndexFile(packed, path);
 }
 
 namespace {

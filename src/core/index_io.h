@@ -16,10 +16,12 @@ namespace gdim {
 /// On-disk form of a built graph dimension: the selected feature graphs plus
 /// the mapped binary database vectors. Lets an application build once
 /// (mining + MCS + selection are the expensive part) and serve queries from
-/// a cold start. Three versioned formats share one reader (ReadIndexFile
-/// sniffs the magic):
+/// a cold start. Three versioned formats have readers (ReadIndexFile and
+/// ReadIndexFilePacked sniff the magic); one, v3, has a writer. v1 and v2
+/// are legacy: files in them still load unchanged, and `gdim_tool convert`
+/// upgrades them to v3.
 ///
-/// v1 — human-readable text, parsed digit by digit:
+/// v1 — human-readable text, parsed digit by digit (read only):
 ///
 ///   gdim-index v1
 ///   features <p>
@@ -27,7 +29,8 @@ namespace gdim {
 ///   vectors <n> <p>
 ///   <n lines of 0/1 digits>
 ///
-/// v2 — binary snapshot, loaded in O(read) (no per-bit text parsing):
+/// v2 — binary snapshot, loaded in O(read) (no per-bit text parsing; read
+/// only):
 ///
 ///   bytes 0..7   magic "GDIMIDX2"
 ///   u32          header version (2)
@@ -46,7 +49,7 @@ namespace gdim {
 ///
 /// v3 — sectioned (TLV) snapshot that persists the FULL serving state, so a
 /// reindexed server restarts durably from the snapshot alone (no --db) and
-/// reload skips the O(n·sqrt(n)) IVF rebuild:
+/// reload skips the O(n·sqrt(n)) IVF rebuild. The only format written:
 ///
 ///   bytes 0..7   magic "GDIMIDX3"
 ///   u32          header version (3)
@@ -76,15 +79,16 @@ namespace gdim {
 ///          rebuild.
 ///
 /// Unknown, duplicated, truncated, or oversized sections are rejected with
-/// typed errors — never a crash or a partial adopt. v2 files still load;
-/// their absent sections mean generation/epoch reset to 0, no embedded
-/// store, and a from-scratch IVF build (the pre-v3 degraded behavior).
+/// typed errors — never a crash or a partial adopt. v1/v2 files (and v3
+/// files without the optional sections, such as a fresh `build`) still
+/// load; absent sections mean generation/epoch start at 0, no embedded
+/// store, and a from-scratch IVF build.
 ///
 /// The vectors — the part that scales with database size — are the raw
 /// packed words of the serving scan layout, so a snapshot load is a block
 /// read instead of an O(n·p) character parse. The id block is what keeps
 /// external ids stable across a snapshot/reload cycle of a mutated engine
-/// (v1 cannot carry ids and renumbers rows positionally on save).
+/// (v1 files carry no ids: row i has id i).
 struct PersistedIndex {
   GraphDatabase features;
   std::vector<std::vector<uint8_t>> db_bits;
@@ -144,32 +148,23 @@ struct PackedIndex {
   std::optional<PersistedIvf> ivf;
 };
 
-/// On-disk format selector for WriteIndexFile.
+/// The written format. v3 is the only one; the argument is kept for
+/// callers that still spell it out.
 enum class IndexFormat {
-  kV1Text,
-  kV2Binary,
   kV3Sectioned,
 };
 
-/// Parses "v1"/"v2"/"v3" (case-sensitive) into an IndexFormat.
-Result<IndexFormat> ParseIndexFormat(const std::string& name);
-
-/// Writes the dimension + mapped vectors to path in the given format.
-/// kV3Sectioned writes a DIMS-only v3 file; the streaming
-/// WriteIndexFileV3Words is the way to persist the optional sections.
+/// Writes the dimension + mapped vectors to path as a DIMS-only v3 file;
+/// rejects ragged rows. The streaming WriteIndexFileV3Words is the way to
+/// persist the optional sections.
 Status WriteIndexFile(const PersistedIndex& index, const std::string& path,
-                      IndexFormat format = IndexFormat::kV1Text);
+                      IndexFormat format = IndexFormat::kV3Sectioned);
 
-/// Streaming v2 writer: emits n rows of words_per_row packed words obtained
-/// from row_words(i) — already in the scan layout — without materializing
-/// byte vectors. words_per_row must equal ceil(features.size() / 64); ids
-/// must be strictly ascending with n entries, or empty for positional
-/// (0..n-1); next_id must exceed every id (-1 = derive). Used by
-/// QueryEngine::Snapshot to dump packed segments directly.
-Status WriteIndexFileV2Words(
-    const GraphDatabase& features, uint64_t n, uint64_t words_per_row,
-    const std::function<const uint64_t*(uint64_t)>& row_words,
-    const std::vector<int>& ids, int next_id, const std::string& path);
+/// Writes a packed index as v3 with every section it carries (META, STOR,
+/// IVFX when present). ReadIndexFilePacked followed by this call is
+/// `gdim_tool convert`: it upgrades v1/v2 files to v3 and reproduces a
+/// file this writer emitted byte for byte.
+Status WritePackedIndexFile(const PackedIndex& index, const std::string& path);
 
 /// The optional v3 sections, borrowed for the duration of a
 /// WriteIndexFileV3Words call. store_ids/store_graphs come as a pair (the
@@ -182,10 +177,15 @@ struct V3Sections {
   const PersistedIvf* ivf = nullptr;
 };
 
-/// Streaming v3 writer: the v2 row/id contract plus the optional sections.
-/// The writer mirrors every reader-side check (store ids must equal the
-/// index ids; IVF buckets must be non-empty, ascending, and cover the ids
-/// exactly once) so it can never emit a file its own reader refuses.
+/// Streaming v3 writer: emits n rows of words_per_row packed words obtained
+/// from row_words(i) — already in the scan layout — without materializing
+/// byte vectors, plus the optional sections. words_per_row must equal
+/// ceil(features.size() / 64); ids must be strictly ascending with n
+/// entries, or empty for positional (0..n-1); next_id must exceed every id
+/// (-1 = derive). The writer mirrors every reader-side check (store ids
+/// must equal the index ids; IVF buckets must be non-empty, ascending, and
+/// cover the ids exactly once) so it can never emit a file its own reader
+/// refuses.
 Status WriteIndexFileV3Words(
     const GraphDatabase& features, uint64_t n, uint64_t words_per_row,
     const std::function<const uint64_t*(uint64_t)>& row_words,
@@ -201,7 +201,7 @@ Result<PersistedIndex> ReadIndexFile(const std::string& path);
 /// Reads a persisted index of any format straight into the packed scan
 /// layout. For v2/v3 files the vector block is a single block read into the
 /// matrix storage (padding bits are masked); v1 falls back to the text
-/// parser plus a pack. The load path of QueryEngine::Open; v3 section
+/// parser plus a pack. The load path of ShardedEngine::Open; v3 section
 /// payloads come back in PackedIndex::meta/store/ivf.
 Result<PackedIndex> ReadIndexFilePacked(const std::string& path);
 

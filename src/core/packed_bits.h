@@ -20,7 +20,7 @@ inline constexpr int kScanBlockRows = 256;
 ///
 /// The matrix carries its bit width even when it holds no rows, so query
 /// validation works for empty databases, and it supports append-only growth
-/// (the delta segment of a mutable QueryEngine).
+/// (the delta segment of a mutable QueryEngine shard).
 ///
 /// Distances computed here are bit-identical to the byte-vector reference
 /// (BinaryMappedDistance): the Hamming count is exact and the normalized form
@@ -50,8 +50,9 @@ class PackedBitMatrix {
   /// ceil(num_bits / 64) words each, bit r of a row at word r/64, bit r%64).
   /// words.size() must equal num_rows * words_per_row. Padding bits beyond
   /// num_bits in each row's last word are masked to zero, so a matrix built
-  /// from untrusted words (a v2 snapshot block read) still computes exact
-  /// Hamming distances. The zero-copy load path of QueryEngine::Open.
+  /// from untrusted words (a v2/v3 snapshot block read) still computes
+  /// exact Hamming distances. The zero-copy load path of
+  /// ShardedEngine::Open.
   static PackedBitMatrix FromWords(int num_rows, int num_bits,
                                    std::vector<uint64_t> words);
 

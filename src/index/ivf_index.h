@@ -34,11 +34,11 @@ inline constexpr uint64_t kIvfSeed = 0x91f5eedcafef00dULL;
 /// Centroids are only re-selected by a full rebuild (engine construction /
 /// generation swap), never by maintenance.
 ///
-/// Thread-compatibility contract: the index is owned by a QueryEngine and
-/// externally synchronized by it — every mutating call happens inside an
-/// engine method that REQUIRES the engine's writer role, and Probe() is
-/// called from the query path under the same single-writer regime as every
-/// other engine read. The class itself holds no locks.
+/// Thread-compatibility contract: the index is owned by a QueryEngine shard
+/// and externally synchronized by its ShardedEngine — every mutating call
+/// happens inside an engine method that REQUIRES the engine's writer role,
+/// and Probe() is called from the query path under the same single-writer
+/// regime as every other engine read. The class itself holds no locks.
 class IvfIndex {
  public:
   IvfIndex() = default;

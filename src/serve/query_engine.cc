@@ -1,97 +1,34 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <utility>
 
-#include "common/parallel.h"
 #include "common/timer.h"
-#include "core/kernels/scan_kernel.h"
 
 namespace gdim {
 
-Result<QueryEngine> QueryEngine::FromIndex(PersistedIndex index,
-                                           ServeOptions options) {
-  const size_t p = index.features.size();
-  for (size_t i = 0; i < index.db_bits.size(); ++i) {
-    if (index.db_bits[i].size() != p) {
-      return Status::InvalidArgument(
-          "index row " + std::to_string(i) + " has " +
-          std::to_string(index.db_bits[i].size()) + " bits, expected " +
-          std::to_string(p));
-    }
-  }
-  PackedIndex packed;
-  packed.rows =
-      PackedBitMatrix::FromRows(index.db_bits, static_cast<int>(p));
-  packed.features = std::move(index.features);
-  packed.ids = std::move(index.ids);
-  packed.next_id = index.next_id;
-  return FromPacked(std::move(packed), options);
-}
-
-Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
-                                            ServeOptions options) {
-  const int p = static_cast<int>(index.features.size());
-  if (index.rows.num_bits() != p) {
-    return Status::InvalidArgument(
-        "packed rows are " + std::to_string(index.rows.num_bits()) +
-        " bits wide, feature dimension is " + std::to_string(p));
-  }
-  const int n = index.rows.num_rows();
-  if (!index.ids.empty()) {
-    if (index.ids.size() != static_cast<size_t>(n)) {
-      return Status::InvalidArgument("index id count does not match rows");
-    }
-    for (size_t i = 0; i < index.ids.size(); ++i) {
-      if (index.ids[i] < 0 ||
-          (i > 0 && index.ids[i] <= index.ids[i - 1])) {
-        return Status::InvalidArgument("index ids must be strictly ascending");
-      }
-    }
-    // next_id_ = ids.back() + 1 must stay representable.
-    if (index.ids.back() == std::numeric_limits<int>::max()) {
-      return Status::InvalidArgument("index id out of range");
-    }
-  }
-  const int64_t min_next_id = index.ids.empty()
-                                  ? static_cast<int64_t>(n)
-                                  : int64_t{index.ids.back()} + 1;
-  if (index.next_id >= 0 && index.next_id < min_next_id) {
-    return Status::InvalidArgument("index next_id must exceed every id");
-  }
+Result<QueryEngine> QueryEngine::FromPacked(
+    PackedBitMatrix rows, std::vector<int> ids,
+    const std::optional<PersistedIvf>& ivf, const ServeOptions& options) {
+  const int n = rows.num_rows();
+  const int p = rows.num_bits();
   QueryEngine engine;
-  engine.options_ = options;
-  engine.base_ =
-      std::make_shared<const PackedBitMatrix>(std::move(index.rows));
+  engine.base_ = std::make_shared<const PackedBitMatrix>(std::move(rows));
   engine.delta_ = PackedBitMatrix::WithWidth(p);
   engine.tombstones_.assign(static_cast<size_t>(n), 0);
   engine.alive_ = n;
-  if (index.ids.empty()) {
-    engine.row_ids_.resize(static_cast<size_t>(n));
-    std::iota(engine.row_ids_.begin(), engine.row_ids_.end(), 0);
-  } else {
-    engine.row_ids_ = std::move(index.ids);
-  }
-  // Resume the persisted id counter when present (so ids of removed graphs
-  // are never re-issued after a reload); otherwise derive it.
-  engine.next_id_ =
-      index.next_id >= 0 ? index.next_id : static_cast<int>(min_next_id);
-  if (index.ivf.has_value()) {
+  engine.row_ids_ = std::move(ids);
+  if (ivf.has_value()) {
     // Adopt the persisted IVF layout instead of re-clustering: reload skips
     // the O(n·sqrt(n)) Build. Snapshot postings are in external-id space
-    // and may span a different shard partition than this engine's, so keep
-    // exactly the buckets holding ids this engine owns, mapped to local
+    // and may span a different shard partition than this shard's, so keep
+    // exactly the buckets holding ids this shard owns, mapped to local
     // physical rows. Relative bucket order is preserved, so at an unchanged
     // shard count the probe's (distance, bucket id) ranking reproduces the
     // snapshotted engine's exactly.
-    const PersistedIvf& persisted = *index.ivf;
-    if (persisted.num_bits != p) {
-      return Status::InvalidArgument("IVF width does not match the index");
-    }
+    const PersistedIvf& persisted = *ivf;
     const size_t wpc = engine.base_->words_per_row();
     std::vector<uint64_t> centroid_words;
     std::vector<std::vector<int>> postings;
@@ -102,7 +39,7 @@ Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
         return Status::InvalidArgument(
             "IVF centroid stride does not match width");
       }
-      std::vector<int> rows;
+      std::vector<int> bucket_rows;
       for (const int id : bucket.ids) {
         const auto it = std::lower_bound(engine.row_ids_.begin(),
                                          engine.row_ids_.end(), id);
@@ -117,19 +54,19 @@ Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
         ++covered;
         // Bucket ids ascend and the id→row map is monotone, so each
         // adopted posting list stays sorted, as Probe requires.
-        rows.push_back(row);
+        bucket_rows.push_back(row);
       }
-      if (rows.empty()) continue;  // no rows of this engine's partition
+      if (bucket_rows.empty()) continue;  // another shard's bucket
       centroid_words.insert(centroid_words.end(),
                             bucket.centroid_words.begin(),
                             bucket.centroid_words.end());
-      postings.push_back(std::move(rows));
+      postings.push_back(std::move(bucket_rows));
     }
     // Strict coverage: every owned row reachable by some probe, or
     // NPROBE=all would silently diverge from MODE=full after a restart.
     if (covered != n) {
       return Status::InvalidArgument(
-          "IVF postings do not cover this engine's rows");
+          "IVF postings do not cover this shard's rows");
     }
     // Count first: the by-value parameter's move-construction below is
     // unsequenced with the other argument's postings.size() read.
@@ -138,76 +75,27 @@ Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
         PackedBitMatrix::FromWords(num_buckets, p, std::move(centroid_words)),
         std::move(postings));
   } else {
-    // No persisted layout: the IVF index is rebuilt with the engine — which
+    // No persisted layout: the IVF index is rebuilt with the shard — which
     // is exactly what gives a generation swap fresh clusters over the
     // refreshed fingerprints (zero stale buckets by construction).
     engine.ivf_ = IvfIndex::Build(*engine.base_, options.ivf_buckets);
   }
-  if (index.meta.has_value()) {
-    // Resume the persisted mutation epoch so epoch-keyed consumers (the
-    // result cache) never mistake a pre-restart answer for a fresh one.
-    engine.epoch_ = index.meta->epoch;
-  }
-  engine.mapper_ = FeatureMapper(std::move(index.features));
   return engine;
-}
-
-Result<QueryEngine> QueryEngine::Open(const std::string& index_path,
-                                      ServeOptions options) {
-  // The packed reader adopts a v2 snapshot's word block as the base segment
-  // in one block read — cold start never round-trips through byte rows.
-  Result<PackedIndex> index = ReadIndexFilePacked(index_path);
-  if (!index.ok()) return index.status();
-  return FromPacked(std::move(index).value(), options);
-}
-
-void QueryEngine::AdoptGeneration(QueryEngine next) {
-  const uint64_t floor = epoch_ + 1;
-  *this = std::move(next);
-  if (epoch_ < floor) epoch_ = floor;
 }
 
 void QueryEngine::RaiseEpochToAtLeast(uint64_t epoch) {
   if (epoch_ < epoch) epoch_ = epoch;
 }
 
-Result<int> QueryEngine::Insert(const Graph& graph) {
-  return InsertMapped(mapper_.Map(graph));
-}
-
-Result<int> QueryEngine::InsertMapped(
-    const std::vector<uint8_t>& fingerprint) {
-  return InsertMappedWithId(fingerprint, next_id_);
-}
-
-Result<int> QueryEngine::InsertMappedWithId(
-    const std::vector<uint8_t>& fingerprint, int id) {
-  if (fingerprint.size() != static_cast<size_t>(num_features())) {
-    return Status::InvalidArgument(
-        "fingerprint has " + std::to_string(fingerprint.size()) +
-        " bits, engine dimension is " + std::to_string(num_features()));
-  }
-  // INT_MAX itself is unassignable: next_id_ would overflow, and the v2
-  // reader's id cap would reject the engine's own snapshot.
-  if (id == std::numeric_limits<int>::max()) {
-    return Status::ResourceExhausted("graph id space exhausted");
-  }
-  // Per-engine ids must stay strictly ascending (row order == id order is
-  // what makes the score-then-id tie-break equal the physical-row order).
-  if (id < next_id_) {
-    return Status::InvalidArgument(
-        "id " + std::to_string(id) + " not after the engine's id cursor " +
-        std::to_string(next_id_));
-  }
+void QueryEngine::InsertMappedWithId(const std::vector<uint8_t>& fingerprint,
+                                     int id) {
   const int row = base_->num_rows() + delta_.AppendRow(fingerprint);
   tombstones_.push_back(0);
   row_ids_.push_back(id);
   ++alive_;
   ivf_.AddRow(delta_.row(row - base_->num_rows()), delta_.words_per_row(),
               row);
-  next_id_ = id + 1;
   ++epoch_;
-  return id;
 }
 
 Status QueryEngine::Remove(int id) {
@@ -261,20 +149,6 @@ std::vector<int> QueryEngine::alive_ids() const {
     }
   }
   return ids;
-}
-
-PersistedIndex QueryEngine::ToPersistedIndex() const {
-  PersistedIndex index;
-  index.features = mapper_.features();
-  index.db_bits.reserve(static_cast<size_t>(alive_));
-  for (int row = 0; row < total_rows(); ++row) {
-    if (tombstones_[static_cast<size_t>(row)] == 0) {
-      index.db_bits.push_back(RowBits(row));
-    }
-  }
-  index.ids = alive_ids();
-  index.next_id = next_id_;
-  return index;
 }
 
 std::vector<std::pair<int, const uint64_t*>> QueryEngine::LiveRowWords()
@@ -342,50 +216,11 @@ PersistedIvf PersistIvf(const IvfIndex& ivf,
   return persisted;
 }
 
-Status QueryEngine::Snapshot(const std::string& path,
-                             IndexFormat format) const {
-  if (format == IndexFormat::kV2Binary) {
-    // Stream the live rows' packed words straight from the segments — no
-    // per-row byte materialization, no unpack/repack round trip.
-    const std::vector<std::pair<int, const uint64_t*>> live = LiveRowWords();
-    return WriteIndexFileV2Words(
-        mapper_.features(), static_cast<uint64_t>(live.size()),
-        static_cast<uint64_t>(base_->words_per_row()),
-        [&](uint64_t i) { return live[i].second; }, alive_ids(), next_id_,
-        path);
-  }
-  if (format == IndexFormat::kV3Sectioned) {
-    // The single-engine v3 snapshot carries DIMS + META + IVFX. The engine
-    // tracks no reindex generation of its own (that is ShardedEngine state),
-    // so META records generation 0 alongside the mutation epoch.
-    const std::vector<std::pair<int, const uint64_t*>> live = LiveRowWords();
-    const PersistedIvf ivf = PersistIvf(ivf_, tombstones_, row_ids_);
-    PersistedMeta meta;
-    meta.generation = 0;
-    meta.epoch = epoch_;
-    V3Sections sections;
-    sections.meta = &meta;
-    sections.ivf = &ivf;
-    return WriteIndexFileV3Words(
-        mapper_.features(), static_cast<uint64_t>(live.size()),
-        static_cast<uint64_t>(base_->words_per_row()),
-        [&](uint64_t i) { return live[i].second; }, alive_ids(), next_id_,
-        sections, path);
-  }
-  return WriteIndexFile(ToPersistedIndex(), path, format);
-}
-
 int QueryEngine::FindLiveRow(int id) const {
   const auto it = std::lower_bound(row_ids_.begin(), row_ids_.end(), id);
   if (it == row_ids_.end() || *it != id) return -1;
   const int row = static_cast<int>(it - row_ids_.begin());
   return tombstones_[static_cast<size_t>(row)] == 0 ? row : -1;
-}
-
-std::vector<uint8_t> QueryEngine::RowBits(int row) const {
-  return row < base_->num_rows()
-             ? base_->UnpackRow(row)
-             : delta_.UnpackRow(row - base_->num_rows());
 }
 
 std::vector<Ranking> QueryEngine::FullTopK(const uint64_t* const* queries,
@@ -421,17 +256,6 @@ Ranking QueryEngine::CandidateTopK(const std::vector<uint64_t>& packed_query,
     selector.Offer(static_cast<uint32_t>(dist), row);
   }
   return selector.Ranked(num_features(), row_ids_);
-}
-
-Ranking QueryEngine::Query(const Graph& query, const QueryOptions& options,
-                           ServeQueryStats* stats) const {
-  WallTimer timer;
-  // Stage 1: fingerprint the query onto the selected dimension, then hand
-  // the mapped vector to the scan stages.
-  Ranking top = QueryMapped(mapper_.Map(query), options, stats);
-  // The mapped path timed only stages 2–3; charge the VF2 mapping too.
-  if (stats != nullptr) stats->latency_ms = timer.Millis();
-  return top;
 }
 
 Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
@@ -551,59 +375,6 @@ std::vector<Ranking> QueryEngine::QueryMappedTile(
       s.scanned = total_rows();
     }
   }
-  return results;
-}
-
-std::vector<Ranking> QueryEngine::QueryBatch(
-    const GraphDatabase& queries, const QueryOptions& options,
-    ServeBatchReport* report,
-    std::vector<ServeQueryStats>* per_query) const {
-  WallTimer batch_timer;
-  const int n = static_cast<int>(queries.size());
-  std::vector<Ranking> results(queries.size());
-  std::vector<ServeQueryStats> stats(queries.size());
-  // Stage 1 for the whole batch in one parallel pass; the scans below then
-  // touch packed words only.
-  const std::vector<std::vector<uint8_t>> fingerprints =
-      mapper_.MapAll(queries, options_.threads);
-  if (options.scan_mode == ScanMode::kApprox) {
-    // The IVF probe yields a per-query candidate pool, so the batch cannot
-    // share row passes; keep the per-query path.
-    ParallelFor(
-        0, n,
-        [&](int i) {
-          results[static_cast<size_t>(i)] =
-              QueryMapped(fingerprints[static_cast<size_t>(i)], options,
-                          &stats[static_cast<size_t>(i)]);
-        },
-        options_.threads);
-  } else {
-    // Block-tiled multi-query scan: tiles of tile_width() queries share
-    // every row-block pass. Tile boundaries never affect results — scores
-    // are bit-identical for every kernel and tile split.
-    const int tile = ActiveScanKernel().tile_width();
-    const int num_tiles = (n + tile - 1) / tile;
-    ParallelFor(
-        0, num_tiles,
-        [&](int t) {
-          const int begin = t * tile;
-          const int count = std::min(tile, n - begin);
-          std::vector<ServeQueryStats> tile_stats;
-          std::vector<Ranking> tile_results = QueryMappedTile(
-              fingerprints.data() + begin, count, options, &tile_stats);
-          for (int j = 0; j < count; ++j) {
-            results[static_cast<size_t>(begin + j)] =
-                std::move(tile_results[static_cast<size_t>(j)]);
-            stats[static_cast<size_t>(begin + j)] =
-                tile_stats[static_cast<size_t>(j)];
-          }
-        },
-        options_.threads);
-  }
-  const double wall_ms = batch_timer.Millis();
-
-  if (report != nullptr) FillServeBatchReport(wall_ms, stats, report);
-  if (per_query != nullptr) *per_query = std::move(stats);
   return results;
 }
 

@@ -3,18 +3,15 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/histogram.h"
 #include "common/status.h"
-#include "common/sync.h"
 #include "core/index_io.h"
-#include "core/mapper.h"
 #include "core/packed_bits.h"
 #include "core/topk.h"
-#include "graph/graph.h"
 #include "index/ivf_index.h"
 #include "serve/query_options.h"
 
@@ -22,9 +19,11 @@ namespace gdim {
 
 /// Engine-wide serving knobs, fixed at load time.
 struct ServeOptions {
-  /// Worker threads for QueryBatch; 0 = DefaultThreadCount(). Results are
-  /// identical for every thread count (queries are independent and each
-  /// query selects in HammingTopK's deterministic (distance, row) order).
+  /// Worker threads of the owning ShardedEngine: the scatter pool of one
+  /// query and the per-tile pool of a batch, and MapAll's fingerprinting;
+  /// 0 = DefaultThreadCount(). Results are identical for every thread count
+  /// (queries are independent and each query selects in HammingTopK's
+  /// deterministic (distance, row) order).
   int threads = 0;
 
   /// Bucket count of the IVF candidate-pruning index behind ScanMode::
@@ -57,7 +56,8 @@ struct ServeQueryStats {
   std::vector<double> shard_scan_usec;
 };
 
-/// Aggregate report for one QueryBatch call.
+/// Aggregate report for one ShardedEngine::QueryBatch/QueryMappedBatch
+/// call.
 struct ServeBatchReport {
   double wall_ms = 0.0;          ///< end-to-end batch wall time
   double qps = 0.0;              ///< queries / wall second
@@ -77,19 +77,19 @@ struct ServeBatchReport {
 };
 
 /// Aggregates per-query stats into a batch report (qps, latency
-/// percentiles, scan counters). Shared by every batch entry point — the
-/// engine's own, the sharded engine's, and the batch executor's.
+/// percentiles, scan counters). Shared by the sharded engine's batch entry
+/// points and the batch executor.
 void FillServeBatchReport(double wall_ms,
                           const std::vector<ServeQueryStats>& stats,
                           ServeBatchReport* report);
 
-/// An immutable capture of one engine's live state, taken by Freeze() for
+/// An immutable capture of one shard's live state, taken by Freeze() for
 /// asynchronous snapshotting. The sealed base segment — the part that scales
 /// with database size — is shared by refcount (it is only ever *replaced*,
 /// by Compact, never mutated in place), so a freeze copies just the delta
 /// segment, the tombstone bitset, and the id column: O(delta + n) small
 /// fields, no O(n·p) word copying and no file I/O. A background writer can
-/// then stream the capture to disk while the live engine keeps mutating.
+/// then stream the capture to disk while the live shard keeps mutating.
 struct FrozenEngineState {
   std::shared_ptr<const PackedBitMatrix> base;  ///< shared, never mutated
   PackedBitMatrix delta;                        ///< copied (small)
@@ -108,105 +108,50 @@ struct FrozenEngineState {
 };
 
 /// The live (non-tombstoned) postings of `ivf` lifted into external-id
-/// space — the v3 IVFX payload of one engine. Buckets left empty by
+/// space — the v3 IVFX payload of one shard. Buckets left empty by
 /// tombstones are dropped (the reader rejects empty buckets), so the result
 /// partitions exactly the live ids. tombstones/row_ids are indexed by
-/// physical row, like the engine's own members.
+/// physical row, like the shard's own members.
 PersistedIvf PersistIvf(const IvfIndex& ivf,
                         const std::vector<uint8_t>& tombstones,
                         const std::vector<int>& row_ids);
 
-/// The online query-serving engine: loads a built index (feature dimension +
-/// mapped database vectors), converts the vectors into the packed word
-/// layout, and answers batched top-k queries through a three-stage hot path —
-///   1. fingerprint the query onto the selected dimension (VF2 matching),
+/// One shard of a ShardedEngine — the only public engine, which owns every
+/// QueryEngine, routes ids to it, and validates ids and widths at its own
+/// boundary. A shard answers stages 2–3 of the hot path for its partition
+/// of the database:
 ///   2. MODE=approx only: IVF probe for a candidate pool,
 ///   3. popcount-Hamming distance scan over the packed bit matrices (every
 ///      live row, or the MODE=approx pool), fused with the top-k selection:
 ///      a bounded heap per query selects on the kernel's uint32 counts
 ///      inside the row-block loop, and only the k survivors are converted
 ///      to sqrt(d / p) scores.
-/// No MCS computation and no graph algorithm other than stage 1 runs at
-/// query time, which is the paper's whole online-search proposition.
+/// Stage 1 (VF2 fingerprinting onto the selected dimension) runs once per
+/// query in the owning engine. No MCS computation runs at query time, which
+/// is the paper's whole online-search proposition.
 ///
-/// The engine is *mutable*: the database is a sealed base segment plus an
+/// The shard is *mutable*: its rows are a sealed base segment plus an
 /// append-only delta segment of packed rows, with a tombstone bitset over
-/// both. Insert appends to the delta, Remove tombstones, and Compact rewrites
-/// the live rows into a fresh sealed base. Every graph keeps a stable
-/// external id for its whole lifetime — ids survive removals of other graphs
-/// and any number of compactions — and after any mutation sequence
-/// Query/QueryBatch results are bit-identical to a fresh engine built over
-/// the equivalent database (same live fingerprints in id order), because
-/// physical row order is always ascending-id and the same deterministic
-/// score-then-id ranking applies.
+/// both. Inserts append to the delta, Remove tombstones, and Compact
+/// rewrites the live rows into a fresh sealed base. Physical row order is
+/// always ascending external id, so after any mutation sequence a scan
+/// ranks exactly like a fresh build over the same live rows (the same
+/// deterministic score-then-id order).
 ///
-/// Mutations are not thread-safe: callers must not run Insert/Remove/Compact
-/// concurrently with each other or with queries. The contract is
-/// compiler-checked: every mutating method (and Freeze, which reads state a
-/// mutation invalidates) REQUIRES writer_role() — the single writer
-/// acquires the role once (the BatchExecutor's dispatcher thread does; a
-/// single-threaded test scope uses ScopedRole) and Clang's thread-safety
-/// analysis rejects any call path that never claimed it.
+/// Construction and mutation are private to ShardedEngine, so the compiler
+/// keeps every writer behind the owner's single-writer role; what remains
+/// public is the const, read-only surface (observability, the row stream a
+/// snapshot or a benchmark reads, and the per-shard scan).
 class QueryEngine {
  public:
-  /// Builds the serving structures from an in-memory persisted index.
-  /// Validates vector shape; the index is consumed. Row i keeps the
-  /// persisted external id index.ids[i] (v2 snapshots carry them), or gets
-  /// id i when the index has no id block (v1 files, fresh builds).
-  static Result<QueryEngine> FromIndex(PersistedIndex index,
-                                       ServeOptions options = {});
-
-  /// Builds from an index already in the packed scan layout: the matrix is
-  /// adopted as the sealed base segment with no unpack/repack round trip.
-  /// The startup path for v2/v3 snapshots (ReadIndexFilePacked), where
-  /// loading a database is a block read into this exact layout. When the
-  /// index carries a persisted IVF section its buckets are adopted instead
-  /// of re-clustered — postings arrive in external-id space, so the engine
-  /// keeps exactly the buckets holding ids it owns (any shard partition of
-  /// a snapshot works) after validating they cover its rows exactly once.
-  static Result<QueryEngine> FromPacked(PackedIndex index,
-                                        ServeOptions options = {});
-
-  /// Loads the index file at path (core/index_io, v1 text or v2 binary)
-  /// and builds; v2 files load through the direct packed-words path.
-  static Result<QueryEngine> Open(const std::string& index_path,
-                                  ServeOptions options = {});
-
-  /// Installs `next` — a freshly built engine over a new dimension
-  /// generation — into *this, with epoch continuity: the adopted epoch is
-  /// strictly greater than this engine's current epoch, so epoch-keyed
-  /// consumers (the result cache) can never replay an answer across the
-  /// generation boundary even though every other piece of state (mapper,
-  /// segments, ids) is replaced wholesale. Single-writer contract: must not
-  /// run concurrently with queries or mutations, like every mutation.
-  void AdoptGeneration(QueryEngine next) GDIM_REQUIRES(writer_role_);
-
-  /// Generation-swap hook for a sharded owner whose epoch is a sum over
-  /// shards: lifts this engine's epoch to at least `epoch`. Monotonic
-  /// (never lowers), counts as a mutation for cache purposes.
-  void RaiseEpochToAtLeast(uint64_t epoch) GDIM_REQUIRES(writer_role_);
-
-  /// The single-writer capability; see the class comment. The accessor
-  /// resolves to the same capability as the member, so call sites may spell
-  /// either `engine.writer_role()` or (inside the class) `writer_role_`.
-  ThreadRole& writer_role() const GDIM_RETURN_CAPABILITY(writer_role_) {
-    return writer_role_;
-  }
-
   /// Live (non-tombstoned) graphs.
   int num_graphs() const { return alive_; }
-  int num_features() const { return mapper_.num_features(); }
+  int num_features() const { return base_->num_bits(); }
 
-  /// Monotonic mutation epoch: bumped by every successful Insert/Remove and
-  /// by every Compact that does work. Two queries issued at the same epoch
-  /// are guaranteed bit-identical answers (the epoch is what makes cached
-  /// results safe to replay); queries never bump it. A bump does not imply
-  /// results changed — Compact rewrites physical rows without changing any
-  /// answer but still bumps, erring on the safe side.
+  /// Monotonic mutation epoch: bumped by every successful insert/Remove and
+  /// by every Compact that does work. The owner's epoch is the sum over its
+  /// shards; see ShardedEngine::epoch().
   uint64_t epoch() const { return epoch_; }
-  const ServeOptions& options() const { return options_; }
-  /// The stage-1 fingerprinting mapper (callers of QueryMapped share it).
-  const FeatureMapper& mapper() const { return mapper_; }
 
   /// Physical layout observability: sealed base rows, appended delta rows,
   /// and rows removed but not yet reclaimed by Compact().
@@ -220,104 +165,72 @@ class QueryEngine {
   /// The index itself, for tests and invariant checks.
   const IvfIndex& ivf_index() const { return ivf_; }
 
-  /// Inserts a graph: fingerprints it with the engine's dimension (VF2) and
-  /// appends the mapped row to the delta segment. Returns the new stable
-  /// external id.
-  Result<int> Insert(const Graph& graph) GDIM_REQUIRES(writer_role_);
-
-  /// Insert for callers that already hold the mapped fingerprint (bulk
-  /// loads, replication, benchmarks); width must equal num_features().
-  Result<int> InsertMapped(const std::vector<uint8_t>& fingerprint)
-      GDIM_REQUIRES(writer_role_);
-
-  /// InsertMapped with a caller-assigned external id, for an owner of a
-  /// global id sequence (the sharded engine routes ids across shards, so a
-  /// single shard sees gaps). id must be >= the id this engine would assign
-  /// next — per-engine ids stay strictly ascending — and the engine's id
-  /// counter advances to id + 1.
-  Result<int> InsertMappedWithId(const std::vector<uint8_t>& fingerprint,
-                                 int id) GDIM_REQUIRES(writer_role_);
-
-  /// Tombstones the graph with the given external id; NotFound if no live
-  /// graph has that id. O(log n).
-  Status Remove(int id) GDIM_REQUIRES(writer_role_);
-
-  /// Rewrites the live rows into a fresh sealed base segment, drops
-  /// tombstones, and empties the delta. External ids are unchanged. No-op
-  /// on an engine with no delta rows and no tombstones.
-  void Compact() GDIM_REQUIRES(writer_role_);
-
   /// External ids of the live graphs, ascending (= physical row order).
   std::vector<int> alive_ids() const;
 
   /// Live rows in physical (= ascending external id) order as (id, packed
   /// word pointer) pairs; each pointer addresses words_per_row() words and
-  /// stays valid until the next mutation. The streaming hook that lets a
-  /// multi-shard owner snapshot all shards without byte materialization.
+  /// stays valid until the next mutation.
   std::vector<std::pair<int, const uint64_t*>> LiveRowWords() const;
 
   /// Words per packed row (= ceil(num_features() / 64)).
   size_t words_per_row() const { return base_->words_per_row(); }
 
-  /// Captures the live state for asynchronous snapshotting: the sealed base
-  /// is cloned by refcount, the delta/tombstones/ids are copied. The pause
-  /// is O(delta rows · words + total rows) — independent of the sealed
-  /// base's size — and the capture stays bit-exact at this epoch no matter
-  /// what mutations follow. Same single-writer contract as mutations: the
-  /// capture must be ordered against writers, so it REQUIRES the role.
-  FrozenEngineState Freeze() const GDIM_REQUIRES(writer_role_);
-
-  /// The equivalent database of the current live state: the feature
-  /// dimension plus the live fingerprints and their external ids in
-  /// ascending-id order. A fresh engine built from this index answers
-  /// queries bit-identically, with the same external ids.
-  PersistedIndex ToPersistedIndex() const;
-
-  /// Writes the live state to path; v2 binary by default, streaming the
-  /// packed words straight from the segments (no byte materialization) and
-  /// persisting external ids, so a reloaded engine keeps serving the same
-  /// ids. v1 text cannot carry ids and renumbers rows positionally. v3
-  /// additionally persists the IVF layout and the epoch (a reload adopts
-  /// both; generation is a sharded-owner concept and is written as 0 here —
-  /// ShardedEngine::WriteSnapshot is the serving snapshot path).
-  Status Snapshot(const std::string& path,
-                  IndexFormat format = IndexFormat::kV2Binary) const;
-
-  /// Top-k ids + normalized mapped distances for one query, ascending
-  /// score with id tie-break (identical order to TopK(MappedRanking(...))
-  /// over the live rows). All per-query knobs (k, scan mode) travel in
-  /// `options`: engine.Query(q, {.k = 10}).
-  Ranking Query(const Graph& query, const QueryOptions& options,
-                ServeQueryStats* stats = nullptr) const;
-
-  /// Stages 2–3 for a caller that already holds the mapped fingerprint:
-  /// the scatter path of a sharded engine fingerprints a query once (VF2 is
-  /// the expensive stage) and fans the mapped vector out to every shard.
-  /// Width must equal num_features(). Identical to Query() on a graph
-  /// with this fingerprint, for either scan mode.
+  /// Stages 2–3 for one mapped fingerprint over this shard's rows: top-k
+  /// ids + normalized mapped distances, ascending score with id tie-break.
+  /// Width must equal num_features().
   Ranking QueryMapped(const std::vector<uint8_t>& fingerprint,
                       const QueryOptions& options,
                       ServeQueryStats* stats = nullptr) const;
 
-  /// Answers a whole batch across the thread pool. results[i] corresponds
-  /// to queries[i]; output is deterministic for any thread count (and
-  /// bit-identical for every scan kernel). Optional per-query stats
-  /// (resized to the batch) and an aggregate report. Fingerprints the
-  /// whole batch first (MapAll), then scans tiles of ActiveScanKernel()::
-  /// tile_width() queries per row-block pass via QueryMappedTile; only
-  /// MODE=approx, whose IVF probe yields a per-query candidate pool, takes
-  /// the per-query QueryMapped path.
-  std::vector<Ranking> QueryBatch(
-      const GraphDatabase& queries, const QueryOptions& options,
-      ServeBatchReport* report = nullptr,
-      std::vector<ServeQueryStats>* per_query = nullptr) const;
+ private:
+  friend class ShardedEngine;
+
+  QueryEngine() = default;
+
+  /// Adopts `rows` (external ids `ids`, strictly ascending — validated by
+  /// the owner) as the sealed base segment, with no unpack/repack round
+  /// trip. When the owner's snapshot carried a persisted IVF layout its
+  /// buckets are adopted instead of re-clustered: postings are in
+  /// external-id space, so the shard keeps exactly the buckets holding ids
+  /// it owns (any shard partition of a snapshot works) after checking they
+  /// cover its rows exactly once. Otherwise the IVF index is built with
+  /// `options.ivf_buckets`.
+  static Result<QueryEngine> FromPacked(PackedBitMatrix rows,
+                                        std::vector<int> ids,
+                                        const std::optional<PersistedIvf>& ivf,
+                                        const ServeOptions& options);
+
+  /// Appends a mapped row under a caller-assigned external id. The owner
+  /// has checked the width and that `id` exceeds every id this shard holds.
+  void InsertMappedWithId(const std::vector<uint8_t>& fingerprint, int id);
+
+  /// Tombstones the graph with the given external id; NotFound if no live
+  /// graph has that id. O(log n).
+  Status Remove(int id);
+
+  /// Rewrites the live rows into a fresh sealed base segment, drops
+  /// tombstones, and empties the delta. External ids are unchanged. No-op
+  /// on a shard with no delta rows and no tombstones.
+  void Compact();
+
+  /// Captures the live state for asynchronous snapshotting: the sealed base
+  /// is cloned by refcount, the delta/tombstones/ids are copied. The pause
+  /// is O(delta rows · words + total rows), and the capture stays bit-exact
+  /// at this epoch no matter what mutations follow.
+  FrozenEngineState Freeze() const;
+
+  /// Lifts the epoch to at least `epoch` (never lowers it): how the owner
+  /// restores a persisted epoch and keeps it strictly monotonic across a
+  /// generation swap.
+  void RaiseEpochToAtLeast(uint64_t epoch);
 
   /// Full-scan stage 3 for a contiguous tile of `count` pre-mapped
   /// fingerprints, scored together: every row block is loaded once and
   /// XORed against all `count` queries while cache-resident, and each
   /// query's top-k heap consumes the block's counts before the next block
-  /// is scanned (the multi-query path behind QueryBatch and the sharded
-  /// engine's QueryMappedBatch). results[q] / (*stats)[q] correspond to
+  /// is scanned (the multi-query path behind ShardedEngine::
+  /// QueryMappedBatch). results[q] / (*stats)[q] correspond to
   /// fingerprints[q]; each equals QueryMapped(fingerprints[q],
   /// {.k = options.k, .scan_mode = ScanMode::kFull}) bit for bit. Per-query
   /// latency_ms reports the tile's wall time (each query waited for the
@@ -327,16 +240,10 @@ class QueryEngine {
       const QueryOptions& options,
       std::vector<ServeQueryStats>* stats = nullptr) const;
 
- private:
-  QueryEngine() = default;
-
   int total_rows() const { return base_->num_rows() + delta_.num_rows(); }
 
   /// Physical row of a live external id, or -1.
   int FindLiveRow(int id) const;
-
-  /// Row `row` of the segmented matrix back as a 0/1 byte vector.
-  std::vector<uint8_t> RowBits(int row) const;
 
   /// Stage 3 over every live row for `count` packed queries at once: the
   /// fused scan + integer top-k (ScanTopK) over base then delta, tombstones
@@ -350,12 +257,10 @@ class QueryEngine {
   Ranking CandidateTopK(const std::vector<uint64_t>& packed_query,
                         const std::vector<int>& rows, int k) const;
 
-  ServeOptions options_;
-  FeatureMapper mapper_{GraphDatabase{}};
   /// Sealed segment. Held by shared_ptr and treated as immutable — Compact
   /// installs a fresh matrix instead of mutating — so Freeze() can clone it
   /// by refcount and a background snapshot can read it safely while the
-  /// engine keeps mutating. Never null once the engine is built.
+  /// shard keeps mutating. Never null once the shard is built.
   std::shared_ptr<const PackedBitMatrix> base_;
   PackedBitMatrix delta_;  ///< append-only segment (same width as base_)
   /// tombstones_[row] = 1 iff the physical row was removed; sized to
@@ -366,18 +271,14 @@ class QueryEngine {
   /// row_ids_[row] = stable external id; strictly increasing in row, so
   /// ranking by physical row and ranking by external id agree on ties.
   std::vector<int> row_ids_;
-  int next_id_ = 0;
   /// Monotonic mutation counter; see epoch().
   uint64_t epoch_ = 0;
   /// IVF candidate-pruning index over the packed rows (ScanMode::kApprox).
-  /// Built with the engine (so a generation swap re-clusters over the new
-  /// generation's fingerprints), maintained by Insert (nearest-centroid
+  /// Built with the shard (so a generation swap re-clusters over the new
+  /// generation's fingerprints), maintained by inserts (nearest-centroid
   /// assignment) and Compact (posting renumbering); removals are lazy —
-  /// Probe skips tombstones. Mutated only under writer_role_, like every
-  /// other member.
+  /// Probe skips tombstones.
   IvfIndex ivf_;
-  /// See writer_role(). mutable: acquiring a role is not a state change.
-  mutable ThreadRole writer_role_;
 };
 
 }  // namespace gdim

@@ -23,11 +23,10 @@ enum class ScanMode {
 inline constexpr int kNprobeAll = std::numeric_limits<int>::max();
 
 /// Per-query knobs, threaded through every query entry point of
-/// QueryEngine, ShardedEngine, and BatchExecutor — the one options struct
-/// behind the former positional (k, ScanMode) parameter zoo, and the
-/// extension point future per-query knobs (kernel tile hints) land in
-/// without touching any signature. Construct with designated
-/// initializers: engine.Query(q, {.k = 10}).
+/// ShardedEngine, its QueryEngine shards, and BatchExecutor — the one
+/// options struct, and the extension point future per-query knobs (kernel
+/// tile hints) land in without touching any signature. Construct with
+/// designated initializers: engine.Query(q, {.k = 10}).
 struct QueryOptions {
   /// Result count. Negative values answer like 0 (empty ranking) — one
   /// malformed request must not take down the serving process; boundary

@@ -42,6 +42,21 @@ Ranking MergeTopK(const std::vector<Ranking>& partials, int k) {
   return out;
 }
 
+/// Every shard's live (id, words) rows merged into one ascending-id stream;
+/// works over live shards and frozen captures alike.
+template <typename Shards>
+std::vector<std::pair<int, const uint64_t*>> MergedLiveRows(
+    const Shards& shards) {
+  std::vector<std::pair<int, const uint64_t*>> live;
+  for (const auto& shard : shards) {
+    const auto shard_live = shard.LiveRowWords();
+    live.insert(live.end(), shard_live.begin(), shard_live.end());
+  }
+  std::sort(live.begin(), live.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return live;
+}
+
 }  // namespace
 
 Result<ShardedEngine> ShardedEngine::FromIndex(PersistedIndex index,
@@ -76,9 +91,9 @@ Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
         " bits wide, feature dimension is " + std::to_string(p));
   }
   const int n = index.rows.num_rows();
-  // Global id validation up front: per-shard validation only sees ascending
-  // subsequences, so e.g. a globally unsorted id list could split into
-  // shards that each look fine.
+  // Every id and width check happens here, once, for all shards: a shard
+  // only ever sees an ascending subsequence of the ids, so e.g. a globally
+  // unsorted id list could split into shards that each look fine.
   if (!index.ids.empty()) {
     if (index.ids.size() != static_cast<size_t>(n)) {
       return Status::InvalidArgument("index id count does not match rows");
@@ -97,6 +112,9 @@ Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
                                   : int64_t{index.ids.back()} + 1;
   if (index.next_id >= 0 && index.next_id < min_next_id) {
     return Status::InvalidArgument("index next_id must exceed every id");
+  }
+  if (index.ivf.has_value() && index.ivf->num_bits != p) {
+    return Status::InvalidArgument("IVF width does not match the index");
   }
   const int next_id =
       index.next_id >= 0 ? index.next_id : static_cast<int>(min_next_id);
@@ -122,19 +140,13 @@ Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
   }
   engine.shards_.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    PackedIndex shard;
-    shard.features = index.features;  // each shard owns its mapper copy
-    shard.rows = std::move(shard_rows[static_cast<size_t>(s)]);
-    shard.ids = std::move(shard_ids[static_cast<size_t>(s)]);
-    // The global counter exceeds every id, so it is a valid per-shard
-    // counter too; it keeps reload-then-insert from re-issuing any id.
-    shard.next_id = next_id;
-    // A persisted v3 IVF layout is handed to every shard; each keeps
+    // A persisted v3 IVF layout is offered to every shard; each keeps
     // exactly the buckets holding ids of its partition (the postings are
     // external-id, so this works at any shard count).
-    shard.ivf = index.ivf;
-    Result<QueryEngine> built =
-        QueryEngine::FromPacked(std::move(shard), options.serve);
+    Result<QueryEngine> built = QueryEngine::FromPacked(
+        std::move(shard_rows[static_cast<size_t>(s)]),
+        std::move(shard_ids[static_cast<size_t>(s)]), index.ivf,
+        options.serve);
     if (!built.ok()) return built.status();
     engine.shards_.push_back(std::move(built).value());
   }
@@ -144,9 +156,6 @@ Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
     // raising shard 0 alone sets the sum — which shard is immaterial, the
     // sum is the contract (see SwapGeneration).
     engine.generation_ = index.meta->generation;
-    // Engine under construction: its shards are reachable only by this
-    // thread, so the single-writer contract trivially holds here.
-    engine.shards_[0].writer_role().Assert();
     engine.shards_[0].RaiseEpochToAtLeast(index.meta->epoch);
   }
   engine.mapper_ = FeatureMapper(std::move(index.features));
@@ -213,35 +222,35 @@ Result<int> ShardedEngine::Insert(const Graph& graph) {
 
 Result<int> ShardedEngine::InsertMapped(
     const std::vector<uint8_t>& fingerprint) {
+  if (fingerprint.size() != static_cast<size_t>(num_features())) {
+    return Status::InvalidArgument(
+        "fingerprint has " + std::to_string(fingerprint.size()) +
+        " bits, engine dimension is " + std::to_string(num_features()));
+  }
+  // INT_MAX itself is unassignable: next_id_ would overflow, and the
+  // reader's id cap would reject the engine's own snapshot. A rejected
+  // insert does not burn an id.
   const int id = next_id_;
-  QueryEngine& shard = shards_[static_cast<size_t>(ShardOf(id))];
-  // Shards are private to this engine and reachable only through it, so
-  // holding writer_role_ (this method's REQUIRES) is holding every shard's
-  // role; the analysis cannot derive that ownership, hence the Assert.
-  shard.writer_role().Assert();
-  Result<int> inserted = shard.InsertMappedWithId(fingerprint, id);
-  // Advance the global sequence only on success, so a rejected insert (bad
-  // width, exhausted id space) does not burn an id.
-  if (inserted.ok()) ++next_id_;
-  return inserted;
+  if (id == std::numeric_limits<int>::max()) {
+    return Status::ResourceExhausted("graph id space exhausted");
+  }
+  // The global sequence only grows, so each shard's ids stay strictly
+  // ascending (row order == id order, the score-then-id tie-break).
+  shards_[static_cast<size_t>(ShardOf(id))].InsertMappedWithId(fingerprint,
+                                                               id);
+  ++next_id_;
+  return id;
 }
 
 Status ShardedEngine::Remove(int id) {
   if (id < 0) {
     return Status::NotFound("no live graph with id " + std::to_string(id));
   }
-  QueryEngine& shard = shards_[static_cast<size_t>(ShardOf(id))];
-  // Private shard under the engine's writer_role_; see InsertMapped.
-  shard.writer_role().Assert();
-  return shard.Remove(id);
+  return shards_[static_cast<size_t>(ShardOf(id))].Remove(id);
 }
 
 void ShardedEngine::Compact() {
-  for (QueryEngine& shard : shards_) {
-    // Private shard under the engine's writer_role_; see InsertMapped.
-    shard.writer_role().Assert();
-    shard.Compact();
-  }
+  for (QueryEngine& shard : shards_) shard.Compact();
 }
 
 void ShardedEngine::SwapGeneration(ShardedEngine next) {
@@ -257,8 +266,6 @@ void ShardedEngine::SwapGeneration(ShardedEngine next) {
   ++generation_;
   const uint64_t now = epoch();
   if (now < floor) {
-    // Private shard under the engine's writer_role_; see InsertMapped.
-    shards_[0].writer_role().Assert();
     shards_[0].RaiseEpochToAtLeast(shards_[0].epoch() + (floor - now));
   }
 }
@@ -274,23 +281,21 @@ std::vector<int> ShardedEngine::alive_ids() const {
   return ids;
 }
 
+std::vector<std::pair<int, const uint64_t*>> ShardedEngine::LiveRowWords()
+    const {
+  return MergedLiveRows(shards_);
+}
+
 PersistedIndex ShardedEngine::ToPersistedIndex() const {
-  // Merge the shards' live rows back into ascending-id order.
-  std::vector<std::pair<int, std::vector<uint8_t>>> rows;
-  rows.reserve(static_cast<size_t>(num_graphs()));
-  for (const QueryEngine& shard : shards_) {
-    PersistedIndex part = shard.ToPersistedIndex();
-    for (size_t i = 0; i < part.db_bits.size(); ++i) {
-      rows.emplace_back(part.ids[i], std::move(part.db_bits[i]));
-    }
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const std::vector<std::pair<int, const uint64_t*>> live = LiveRowWords();
   PersistedIndex index;
   index.features = mapper_.features();
-  index.db_bits.reserve(rows.size());
-  index.ids.reserve(rows.size());
-  for (auto& [id, bits] : rows) {
+  index.ids.reserve(live.size());
+  index.db_bits.reserve(live.size());
+  const size_t p = index.features.size();
+  for (const auto& [id, words] : live) {
+    std::vector<uint8_t> bits(p);
+    for (size_t r = 0; r < p; ++r) bits[r] = (words[r / 64] >> (r % 64)) & 1;
     index.ids.push_back(id);
     index.db_bits.push_back(std::move(bits));
   }
@@ -298,34 +303,10 @@ PersistedIndex ShardedEngine::ToPersistedIndex() const {
   return index;
 }
 
-Status ShardedEngine::Snapshot(const std::string& path,
-                               IndexFormat format) const {
-  if (format == IndexFormat::kV3Sectioned) {
-    // The synchronous v3 path is the asynchronous one run inline, so both
-    // are one code path: freeze (cheap), then stream the capture.
-    return WriteSnapshot(Freeze(), path);
-  }
-  if (format == IndexFormat::kV2Binary) {
-    // Compatibility escape hatch: the merged live rows in global id order,
-    // word-level, without the v3 sections.
-    const FrozenShardedState frozen = Freeze();
-    std::vector<std::pair<int, const uint64_t*>> live;
-    for (const FrozenEngineState& shard : frozen.shards) {
-      const auto shard_live = shard.LiveRowWords();
-      live.insert(live.end(), shard_live.begin(), shard_live.end());
-    }
-    std::sort(live.begin(), live.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<int> ids;
-    ids.reserve(live.size());
-    for (const auto& row : live) ids.push_back(row.first);
-    return WriteIndexFileV2Words(
-        frozen.features, static_cast<uint64_t>(live.size()),
-        static_cast<uint64_t>(frozen.words_per_row),
-        [&](uint64_t i) { return live[i].second; }, ids, frozen.next_id,
-        path);
-  }
-  return WriteIndexFile(ToPersistedIndex(), path, format);
+Status ShardedEngine::Snapshot(const std::string& path) const {
+  // The synchronous snapshot is the asynchronous one run inline, so both
+  // are one code path: freeze (cheap), then stream the capture.
+  return WriteSnapshot(Freeze(), path);
 }
 
 FrozenShardedState ShardedEngine::Freeze() const {
@@ -333,8 +314,6 @@ FrozenShardedState ShardedEngine::Freeze() const {
   frozen.features = mapper_.features();
   frozen.shards.reserve(shards_.size());
   for (const QueryEngine& shard : shards_) {
-    // Private shard under the engine's writer_role_; see InsertMapped.
-    shard.writer_role().Assert();
     frozen.shards.push_back(shard.Freeze());
   }
   frozen.next_id = next_id_;
@@ -347,15 +326,9 @@ FrozenShardedState ShardedEngine::Freeze() const {
 Status ShardedEngine::WriteSnapshot(const FrozenShardedState& frozen,
                                     const std::string& path) {
   // Stream every frozen shard's packed rows in global id order — word-level
-  // pointers into the capture's segments, no byte materialization, exactly
-  // like the single-engine snapshot path.
-  std::vector<std::pair<int, const uint64_t*>> live;
-  for (const FrozenEngineState& shard : frozen.shards) {
-    const auto shard_live = shard.LiveRowWords();
-    live.insert(live.end(), shard_live.begin(), shard_live.end());
-  }
-  std::sort(live.begin(), live.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // pointers into the capture's segments, no byte materialization.
+  const std::vector<std::pair<int, const uint64_t*>> live =
+      MergedLiveRows(frozen.shards);
   std::vector<int> ids;
   ids.reserve(live.size());
   for (const auto& row : live) ids.push_back(row.first);

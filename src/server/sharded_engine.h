@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -19,9 +20,9 @@ namespace gdim {
 
 /// Knobs for the sharded serving layer.
 struct ShardedOptions {
-  /// Number of QueryEngine shards; must be >= 1. Results are bit-identical
-  /// for every shard count (the gather merge reproduces the single-engine
-  /// score-then-id total order exactly).
+  /// Number of QueryEngine shards; must be >= 1 (1 is the single-engine
+  /// case). Results are bit-identical for every shard count (the gather
+  /// merge reproduces the one-shard score-then-id total order exactly).
   int num_shards = 1;
 
   /// Per-shard serving options. `serve.threads` also sizes the scatter pool
@@ -44,43 +45,49 @@ struct FrozenShardedState {
   /// restarted server reports the same `dimension_generation` gauge.
   uint64_t generation = 0;
   /// The live graph set behind the engine, when the snapshotting layer has
-  /// one (the executor attaches its GraphStore's Freeze()). Persisted as the
-  /// v3 STOR section so a restart can resume REINDEX without the source
-  /// database. Absent (e.g. engine-only Snapshot), the section is omitted.
+  /// one (the executor and `gdim_tool update` attach their GraphStore's
+  /// Freeze()). Persisted as the v3 STOR section so a restart can resume
+  /// REINDEX without the source database. Absent (e.g. engine-only
+  /// Snapshot), the section is omitted.
   std::optional<FrozenGraphSet> store;
 };
 
-/// A horizontally partitioned QueryEngine: the database is hash-partitioned
-/// across N shards by stable external id (shard of id = id % N), and a top-k
-/// query is answered by scattering the mapped fingerprint to every shard in
-/// parallel and gather-merging the per-shard top-k lists with the same
-/// ascending score-then-id total order the single engine uses.
+/// The online query-serving engine — the only public one; num_shards = 1 is
+/// the single-engine case. It loads a built index (feature dimension +
+/// mapped database vectors) in the packed word layout and hash-partitions
+/// the rows across N QueryEngine shards by stable external id (shard of
+/// id = id % N). A top-k query is fingerprinted once onto the selected
+/// dimension (VF2, stage 1), the mapped vector is scattered to every shard
+/// in parallel (stages 2–3, see QueryEngine), and the per-shard top-k lists
+/// are gather-merged in ascending score-then-id order.
 ///
 /// Invariants:
-///  - External ids are global and stable: the sharded engine owns one id
-///    sequence, routes inserts/removes by id, and a snapshot/reload cycle —
-///    including reloading with a *different* shard count — preserves every
-///    id (the partition function is a pure function of id and N).
+///  - External ids are global and stable: the engine owns one id sequence,
+///    routes inserts/removes by id, and a snapshot/reload cycle — including
+///    reloading with a *different* shard count — preserves every id (the
+///    partition function is a pure function of id and N). Ids and widths
+///    are validated here, once; shards trust their owner.
 ///  - Bit-identical answers: for any shard count and any thread count,
-///    Query/QueryBatch return exactly the ids and scores a single
-///    QueryEngine over the same live database returns, before and after any
-///    interleaved insert/remove/compact sequence. Each shard's top-k is a
-///    superset of the global top-k restricted to that shard, and the k-way
-///    merge breaks ties by id just like the single-engine ranking.
+///    Query/QueryBatch return exactly the ids and scores of a brute-force
+///    ranking of the live database, before and after any interleaved
+///    insert/remove/compact sequence. Each shard's top-k is a superset of
+///    the global top-k restricted to that shard, and the k-way merge breaks
+///    ties by id.
 ///
-/// Like QueryEngine, mutations are not thread-safe: callers must not run
-/// Insert/Remove/Compact concurrently with each other or with queries. The
-/// contract is compiler-checked: every mutating method (and Freeze)
-/// REQUIRES writer_role(), acquired once by the single writer — the
-/// BatchExecutor's dispatcher thread in production, a ScopedRole in
-/// single-threaded tests/tools. The per-shard QueryEngine roles are
-/// subsumed: shards are private and reachable only through this engine, so
-/// the implementation asserts each shard's role under its own.
+/// Mutations are not thread-safe: callers must not run Insert/Remove/
+/// Compact concurrently with each other or with queries. The contract is
+/// compiler-checked: every mutating method (and Freeze) REQUIRES
+/// writer_role(), acquired once by the single writer — the BatchExecutor's
+/// dispatcher thread in production, a ScopedRole in single-threaded
+/// tests/tools. Shards are reachable for writing only through this engine
+/// (their constructors and mutators are private to it), so this role covers
+/// them too.
 class ShardedEngine {
  public:
   /// Partitions the persisted index across options.num_shards shards.
   /// Row ids (explicit, or positional when the index has no id block)
-  /// determine placement; validation mirrors QueryEngine::FromIndex.
+  /// determine placement. Rejects ragged rows, then validates as
+  /// FromPacked.
   static Result<ShardedEngine> FromIndex(PersistedIndex index,
                                          ShardedOptions options = {});
 
@@ -146,11 +153,13 @@ class ShardedEngine {
   }
 
   /// Inserts a graph: assigns the next global id, fingerprints once, and
-  /// appends to the owning shard. Returns the stable external id — the same
-  /// id a single QueryEngine would have assigned.
+  /// appends to the owning shard. Returns the stable external id, the same
+  /// for every shard count.
   Result<int> Insert(const Graph& graph) GDIM_REQUIRES(writer_role_);
 
-  /// Insert for callers that already hold the mapped fingerprint.
+  /// Insert for callers that already hold the mapped fingerprint (bulk
+  /// loads, benchmarks); InvalidArgument unless its width is
+  /// num_features().
   Result<int> InsertMapped(const std::vector<uint8_t>& fingerprint)
       GDIM_REQUIRES(writer_role_);
 
@@ -179,25 +188,21 @@ class ShardedEngine {
   /// External ids of the live graphs across all shards, ascending.
   std::vector<int> alive_ids() const;
 
-  /// The equivalent single-engine database: live fingerprints and ids in
-  /// ascending-id order plus the global id counter. A QueryEngine (or a
-  /// ShardedEngine of any shard count) built from this answers queries
-  /// bit-identically.
+  /// Every shard's live rows merged in ascending-id order as (id, packed
+  /// word pointer) pairs; pointers stay valid until the next mutation.
+  std::vector<std::pair<int, const uint64_t*>> LiveRowWords() const;
+
+  /// The equivalent database: live fingerprints and ids in ascending-id
+  /// order plus the global id counter. An engine of any shard count built
+  /// from this answers queries bit-identically.
   PersistedIndex ToPersistedIndex() const;
 
-  /// Writes the merged live state to one index file, shard-count
-  /// independent. v2/v3 stream each shard's packed rows in global id order
-  /// (word-level, no byte materialization); a reload with any shard count
-  /// keeps serving the same ids. The v3 default additionally persists the
-  /// dimension generation, mutation epoch, and every shard's IVF layout
-  /// (external-id postings), so a reload resumes serving without the
-  /// O(n·sqrt(n)) IVF rebuild. Synchronous Freeze+write, so it carries
-  /// Freeze's ordering contract. The engine has no graph store, so the STOR
-  /// section is never written here — the executor's snapshot path is the
-  /// one that attaches it.
-  Status Snapshot(const std::string& path,
-                  IndexFormat format = IndexFormat::kV3Sectioned) const
-      GDIM_REQUIRES(writer_role_);
+  /// Writes the merged live state to one v3 index file:
+  /// WriteSnapshot(Freeze(), path), so it carries Freeze's ordering
+  /// contract. The engine has no graph store, so the STOR section is not
+  /// written here — callers that own one (the executor, `gdim_tool update`)
+  /// attach it to the frozen state and call WriteSnapshot themselves.
+  Status Snapshot(const std::string& path) const GDIM_REQUIRES(writer_role_);
 
   /// Captures all shards for asynchronous snapshotting: sealed bases are
   /// cloned by refcount, deltas/tombstones/ids copied — a bounded pause
@@ -212,8 +217,9 @@ class ShardedEngine {
   /// shares everything it reads. The file carries DIMS (the merged live
   /// rows in global id order), META (generation + epoch), the shards' live
   /// IVF postings lifted to external ids (IVFX, in shard order), and —
-  /// when the capture has one — the frozen graph store (STOR).
-  /// Snapshot(path, kV3Sectioned) is WriteSnapshot(Freeze(), path).
+  /// when the capture has one — the frozen graph store (STOR). A reload
+  /// with any shard count keeps serving the same ids and skips the
+  /// O(n·sqrt(n)) IVF rebuild.
   static Status WriteSnapshot(const FrozenShardedState& frozen,
                               const std::string& path);
 

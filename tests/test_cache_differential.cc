@@ -3,8 +3,8 @@
 // executed against the full stack (ShardedEngine behind a BatchExecutor
 // with the epoch-versioned result cache enabled) and, in lockstep, against
 // a plain model of the database. Every query is answered twice — cold path
-// and guaranteed cache hit — and both must be bit-identical to a fresh
-// brute-force QueryEngine built from the model at that step. Any cache
+// and guaranteed cache hit — and both must be bit-identical to a
+// brute-force ranking of the model at that step. Any cache
 // staleness bug (missed epoch bump, key collision, invalidation hole) shows
 // up as a ranking diff; the failing (shards, threads, seed) triple is in
 // the scoped trace for replay.
@@ -27,9 +27,9 @@
 #include "common/random.h"
 #include "core/index_io.h"
 #include "graph/graph.h"
-#include "serve/query_engine.h"
 #include "server/batch_executor.h"
 #include "server/sharded_engine.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -167,7 +167,7 @@ void RunChurnInterleaving(int shards, int threads, uint64_t seed) {
             std::to_string(shards) + "_" + std::to_string(threads) + "_" +
             std::to_string(seed) + ".idx2";
         ASSERT_TRUE(executor.Snapshot(path).ok());
-        Result<QueryEngine> reloaded = QueryEngine::Open(path);
+        Result<ShardedEngine> reloaded = ShardedEngine::Open(path);
         ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
         std::vector<int> want_ids;
         for (const auto& [id, bits] : model.live) want_ids.push_back(id);
@@ -181,11 +181,9 @@ void RunChurnInterleaving(int shards, int threads, uint64_t seed) {
         const int k =
             ks[static_cast<size_t>(rng.UniformInt(
                 0, static_cast<int>(ks.size()) - 1))];
-        // The reference runs single-engine, single-threaded, uncached,
-        // and always as an exact full scan.
-        Result<QueryEngine> brute = QueryEngine::FromIndex(model.ToIndex());
-        ASSERT_TRUE(brute.ok()) << brute.status().ToString();
-        const Ranking want = brute->Query(GraphForBits(probe), {.k = k});
+        // The reference is an exact brute-force ranking of the model.
+        const Ranking want = testing_util::BruteForceTopK(
+            probe, testing_util::LiveRowsOf(model.ToIndex()), k);
 
         QueryOptions options{.k = k};
         if (approx) {

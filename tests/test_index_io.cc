@@ -13,10 +13,16 @@
 #include "core/topk.h"
 #include "datasets/chemgen.h"
 #include "graph/graph_io.h"
-#include "serve/query_engine.h"
+#include "server/sharded_engine.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
+
+using testing_util::Slurp;
+using testing_util::Spit;
+using testing_util::V1IndexText;
+using testing_util::WriteV2IndexFile;
 
 PersistedIndex SmallIndex() {
   PersistedIndex p;
@@ -62,24 +68,39 @@ TEST(IndexIoTest, RejectsWidthMismatch) {
   EXPECT_FALSE(WriteIndexFile(p, path).ok());
 }
 
+/// SmallIndex as a v1 text file, spelled out byte for byte.
+constexpr char kSmallV1Text[] =
+    "gdim-index v1\n"
+    "features 2\n"
+    "t # 0\n"
+    "v 0 1\n"
+    "v 1 2\n"
+    "e 0 1 3\n"
+    "t # 1\n"
+    "v 0 0\n"
+    "vectors 3 2\n"
+    "10\n"
+    "01\n"
+    "11\n";
+
+TEST(IndexIoTest, ReadsV1Text) {
+  const std::string path = ::testing::TempDir() + "/gdim_v1_literal.idx";
+  Spit(path, kSmallV1Text);
+  Result<PersistedIndex> back = ReadIndexFile(path);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  const PersistedIndex p = SmallIndex();
+  EXPECT_EQ(back->features, p.features);
+  EXPECT_EQ(back->db_bits, p.db_bits);
+  EXPECT_TRUE(back->ids.empty());  // v1 is positional
+  // The test-side v1 formatter the property tests use agrees with it.
+  EXPECT_EQ(V1IndexText(p), kSmallV1Text);
+}
+
 TEST(IndexIoTest, RejectsCorruptVectorRow) {
-  PersistedIndex p = SmallIndex();
-  std::string path = ::testing::TempDir() + "/gdim_corrupt.idx";
-  ASSERT_TRUE(WriteIndexFile(p, path).ok());
-  // Append garbage by truncating a row: rewrite with a broken line.
-  std::string text;
-  {
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    text = ss.str();
-  }
-  size_t pos = text.rfind("11");
-  text.replace(pos, 2, "1x");
-  {
-    std::ofstream out(path);
-    out << text;
-  }
+  std::string text = kSmallV1Text;
+  text.replace(text.rfind("11"), 2, "1x");
+  const std::string path = ::testing::TempDir() + "/gdim_corrupt.idx";
+  Spit(path, text);
   EXPECT_FALSE(ReadIndexFile(path).ok());
 }
 
@@ -88,25 +109,12 @@ TEST(IndexIoTest, MissingFile) {
   EXPECT_FALSE(WriteIndexFile(SmallIndex(), "/no/such/dir/x.idx").ok());
 }
 
-std::string Slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-void Spit(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  out << text;
-}
-
 TEST(IndexIoTest, ReadsCrlfTextIndexes) {
   PersistedIndex p = SmallIndex();
   const std::string path = ::testing::TempDir() + "/gdim_crlf.idx";
-  ASSERT_TRUE(WriteIndexFile(p, path).ok());
   // Simulate a Windows checkout / CRLF transfer of the whole file — the
   // magic line, the feature graph lines, and every vector row.
-  std::string text = Slurp(path);
+  const std::string text = kSmallV1Text;
   std::string crlf;
   for (char c : text) {
     if (c == '\n') crlf += '\r';
@@ -133,20 +141,33 @@ PersistedIndex RandomIndex(int n, int p, Rng* rng) {
   return index;
 }
 
+/// The index written to a fresh file in `version` (1, 2 or 3) — the
+/// writer for v3, the test-side legacy builders for v1/v2. Returns the
+/// path.
+std::string WriteInFormat(const PersistedIndex& index, int version,
+                          const std::string& stem) {
+  const std::string path = ::testing::TempDir() + "/" + stem + "_v" +
+                           std::to_string(version) + ".idx";
+  if (version == 1) {
+    Spit(path, V1IndexText(index));
+  } else if (version == 2) {
+    WriteV2IndexFile(index, path);
+  } else {
+    GDIM_CHECK(WriteIndexFile(index, path).ok());
+  }
+  return path;
+}
+
 TEST(IndexIoTest, AllFormatsRoundTripAcrossShapes) {
   Rng rng(17);
   // Widths straddle word boundaries; n = 0 exercises empty databases.
   for (int p : {0, 1, 63, 64, 65, 130}) {
     for (int n : {0, 1, 17}) {
       const PersistedIndex index = RandomIndex(n, p, &rng);
-      for (IndexFormat format :
-           {IndexFormat::kV1Text, IndexFormat::kV2Binary,
-            IndexFormat::kV3Sectioned}) {
-        const std::string path = ::testing::TempDir() + "/gdim_rt_" +
-                                 std::to_string(p) + "_" + std::to_string(n) +
-                                 (format == IndexFormat::kV1Text ? ".idx"
-                                                                 : ".idx2");
-        ASSERT_TRUE(WriteIndexFile(index, path, format).ok());
+      for (const int version : {1, 2, 3}) {
+        const std::string path = WriteInFormat(
+            index, version,
+            "gdim_rt_" + std::to_string(p) + "_" + std::to_string(n));
         Result<PersistedIndex> back = ReadIndexFile(path);
         ASSERT_TRUE(back.ok())
             << "p=" << p << " n=" << n << ": " << back.status().ToString();
@@ -157,32 +178,45 @@ TEST(IndexIoTest, AllFormatsRoundTripAcrossShapes) {
   }
 }
 
-TEST(IndexIoTest, ConvertV1ToV2AndBackIsLossless) {
+/// `gdim_tool convert`: the packed read plus the every-section v3 write.
+void Convert(const std::string& in, const std::string& out) {
+  Result<PackedIndex> index = ReadIndexFilePacked(in);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_TRUE(WritePackedIndexFile(*index, out).ok());
+}
+
+TEST(IndexIoTest, ConvertV1AndV2ToV3IsLossless) {
   Rng rng(23);
-  const PersistedIndex index = RandomIndex(12, 70, &rng);
-  const std::string v1 = ::testing::TempDir() + "/gdim_conv.idx";
-  const std::string v2 = ::testing::TempDir() + "/gdim_conv.idx2";
-  const std::string v1_again = ::testing::TempDir() + "/gdim_conv2.idx";
-  ASSERT_TRUE(WriteIndexFile(index, v1, IndexFormat::kV1Text).ok());
-  // v1 -> v2 (what `gdim_tool convert` does).
-  Result<PersistedIndex> from_v1 = ReadIndexFile(v1);
-  ASSERT_TRUE(from_v1.ok());
-  ASSERT_TRUE(WriteIndexFile(*from_v1, v2, IndexFormat::kV2Binary).ok());
-  // v2 -> v1 again.
-  Result<PersistedIndex> from_v2 = ReadIndexFile(v2);
-  ASSERT_TRUE(from_v2.ok());
-  ASSERT_TRUE(WriteIndexFile(*from_v2, v1_again, IndexFormat::kV1Text).ok());
-  EXPECT_EQ(from_v2->db_bits, index.db_bits);
-  EXPECT_EQ(from_v2->features, index.features);
-  // The two text files are byte-identical: nothing was lost in the middle.
-  EXPECT_EQ(Slurp(v1), Slurp(v1_again));
+  PersistedIndex index = RandomIndex(12, 70, &rng);
+  // v1 -> v3: the rows and features survive, ids stay positional.
+  const std::string v1 = WriteInFormat(index, 1, "gdim_conv");
+  const std::string from_v1 = ::testing::TempDir() + "/gdim_conv_1to3.idx";
+  Convert(v1, from_v1);
+  Result<PersistedIndex> back = ReadIndexFile(from_v1);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->features, index.features);
+  EXPECT_EQ(back->db_bits, index.db_bits);
+  EXPECT_EQ(back->ids, std::vector<int>({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+  // The upgraded file is exactly what the writer emits for the same index.
+  const std::string direct = WriteInFormat(index, 3, "gdim_conv");
+  EXPECT_EQ(Slurp(from_v1), Slurp(direct));
+
+  // v2 -> v3 keeps sparse ids and the id counter: the result is
+  // byte-identical to the v3 file the v2 bytes were derived from.
+  for (int i = 0; i < 12; ++i) index.ids.push_back(3 * i + 2);
+  index.next_id = 100;
+  const std::string v3 = WriteInFormat(index, 3, "gdim_conv_ids");
+  const std::string v2 = WriteInFormat(index, 2, "gdim_conv_ids");
+  const std::string from_v2 = ::testing::TempDir() + "/gdim_conv_2to3.idx";
+  Convert(v2, from_v2);
+  EXPECT_EQ(Slurp(from_v2), Slurp(v3));
 }
 
 TEST(IndexIoTest, V2RejectsTruncationAndTrailingGarbage) {
   Rng rng(29);
   const PersistedIndex index = RandomIndex(8, 65, &rng);
   const std::string path = ::testing::TempDir() + "/gdim_v2_corrupt.idx2";
-  ASSERT_TRUE(WriteIndexFile(index, path, IndexFormat::kV2Binary).ok());
+  WriteV2IndexFile(index, path);
   const std::string good = Slurp(path);
 
   Spit(path, good.substr(0, good.size() - 5));  // truncated word block
@@ -234,31 +268,25 @@ TEST(IndexIoTest, V2RejectsTruncationAndTrailingGarbage) {
   EXPECT_EQ(ReadIndexFile(path).status().code(), StatusCode::kParseError);
 }
 
-TEST(IndexIoTest, ParseIndexFormatNames) {
-  ASSERT_TRUE(ParseIndexFormat("v1").ok());
-  EXPECT_EQ(*ParseIndexFormat("v1"), IndexFormat::kV1Text);
-  ASSERT_TRUE(ParseIndexFormat("v2").ok());
-  EXPECT_EQ(*ParseIndexFormat("v2"), IndexFormat::kV2Binary);
-  ASSERT_TRUE(ParseIndexFormat("v3").ok());
-  EXPECT_EQ(*ParseIndexFormat("v3"), IndexFormat::kV3Sectioned);
-  EXPECT_EQ(ParseIndexFormat("v4").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(IndexIoTest, V2PersistsCustomIdsAndRejectsBadOnes) {
+TEST(IndexIoTest, PersistsCustomIdsAndRejectsBadOnes) {
   Rng rng(37);
   PersistedIndex index = RandomIndex(4, 9, &rng);
   index.ids = {3, 7, 9, 40};
   const std::string path = ::testing::TempDir() + "/gdim_ids.idx2";
-  ASSERT_TRUE(WriteIndexFile(index, path, IndexFormat::kV2Binary).ok());
+  for (const int version : {2, 3}) {
+    Result<PersistedIndex> back =
+        ReadIndexFile(WriteInFormat(index, version, "gdim_ids"));
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->ids, index.ids) << "v" << version;
+    EXPECT_EQ(back->db_bits, index.db_bits) << "v" << version;
+  }
+  ASSERT_TRUE(WriteIndexFile(index, path).ok());
   Result<PersistedIndex> back = ReadIndexFile(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->ids, index.ids);
-  EXPECT_EQ(back->db_bits, index.db_bits);
 
   // An engine over the reloaded index serves those ids and keeps numbering
   // after them.
-  auto engine = QueryEngine::FromIndex(std::move(back).value());
+  auto engine = ShardedEngine::FromIndex(std::move(back).value());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   // This test body is the engine's single writer.
   ScopedRole writer(&engine->writer_role());
@@ -273,8 +301,7 @@ TEST(IndexIoTest, V2PersistsCustomIdsAndRejectsBadOnes) {
   ASSERT_TRUE(engine->Remove(41).ok());
   const std::string snap = ::testing::TempDir() + "/gdim_ids_snap.idx2";
   ASSERT_TRUE(engine->Snapshot(snap).ok());
-  auto reloaded = QueryEngine::FromIndex(
-      std::move(ReadIndexFile(snap)).value());
+  auto reloaded = ShardedEngine::Open(snap);
   ASSERT_TRUE(reloaded.ok());
   ScopedRole reloaded_writer(&reloaded->writer_role());
   auto after_reload = reloaded->InsertMapped(std::vector<uint8_t>(9, 0));
@@ -284,28 +311,28 @@ TEST(IndexIoTest, V2PersistsCustomIdsAndRejectsBadOnes) {
   // Writers, readers, and FromIndex all reject non-ascending or mis-sized
   // id lists.
   index.ids = {3, 3, 9, 40};
-  EXPECT_EQ(WriteIndexFile(index, path, IndexFormat::kV2Binary).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(QueryEngine::FromIndex(index).status().code(),
+  EXPECT_EQ(WriteIndexFile(index, path).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ShardedEngine::FromIndex(index).status().code(),
             StatusCode::kInvalidArgument);
   index.ids = {3, 7, 9};
-  EXPECT_EQ(WriteIndexFile(index, path, IndexFormat::kV2Binary).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(WriteIndexFile(index, path).code(), StatusCode::kInvalidArgument);
   index.ids = {3, 7, 9, 40};
-  PersistedIndex scrambled = index;
-  scrambled.ids = {3, 7, 9, 40};
-  ASSERT_TRUE(WriteIndexFile(scrambled, path, IndexFormat::kV2Binary).ok());
-  std::string bytes = Slurp(path);
-  // The id block is the last 4 u64s; make it non-ascending in place.
-  bytes[bytes.size() - 8] = 0;  // last id 40 -> 0
-  Spit(path, bytes);
-  EXPECT_EQ(ReadIndexFile(path).status().code(), StatusCode::kParseError);
+  for (const int version : {2, 3}) {
+    // The id block is the last 4 u64s of a DIMS-only file in either
+    // format; make it non-ascending in place.
+    const std::string hostile = WriteInFormat(index, version, "gdim_ids_bad");
+    std::string bytes = Slurp(hostile);
+    bytes[bytes.size() - 8] = 0;  // last id 40 -> 0
+    Spit(hostile, bytes);
+    EXPECT_EQ(ReadIndexFile(hostile).status().code(), StatusCode::kParseError)
+        << "v" << version;
+  }
 }
 
 TEST(IndexIoTest, MutatedEngineSnapshotReloadsEquivalently) {
   Rng rng(31);
   const PersistedIndex index = RandomIndex(30, 6, &rng);
-  auto engine = QueryEngine::FromIndex(index);
+  auto engine = ShardedEngine::FromIndex(index);
   ASSERT_TRUE(engine.ok());
   // This test body is the engine's single writer.
   ScopedRole writer(&engine->writer_role());
@@ -322,52 +349,31 @@ TEST(IndexIoTest, MutatedEngineSnapshotReloadsEquivalently) {
     ASSERT_TRUE(engine->InsertMapped(bits).ok());
   }
 
-  for (IndexFormat format : {IndexFormat::kV1Text, IndexFormat::kV2Binary,
-                             IndexFormat::kV3Sectioned}) {
-    const std::string path =
-        ::testing::TempDir() +
-        (format == IndexFormat::kV1Text ? "/gdim_snap.idx"
-                                        : "/gdim_snap.idx2");
-    ASSERT_TRUE(engine->Snapshot(path, format).ok());
-    Result<PersistedIndex> back = ReadIndexFile(path);
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    // The snapshot is exactly the live database in id order; v2/v3 also
-    // carry the external ids, v1 renumbers positionally.
-    EXPECT_EQ(back->db_bits, engine->ToPersistedIndex().db_bits);
-    const std::vector<int> live_ids = engine->alive_ids();
-    const bool keeps_ids = format != IndexFormat::kV1Text;
-    if (keeps_ids) {
-      EXPECT_EQ(back->ids, live_ids);
-    } else {
-      EXPECT_TRUE(back->ids.empty());
-    }
-    auto reloaded = QueryEngine::FromIndex(std::move(back).value());
-    ASSERT_TRUE(reloaded.ok());
-    ScopedRole reloaded_writer(&reloaded->writer_role());
-    EXPECT_EQ(reloaded->num_graphs(), engine->num_graphs());
-    Graph probe;  // vertex labels 0..2 = features 0..2
-    probe.AddVertex(0);
-    probe.AddVertex(1);
-    probe.AddVertex(2);
-    // A v2-reloaded engine answers bit-identically with the same external
-    // ids; a v1 reload answers identically after mapping its positional
-    // ids through the mutated engine's live id list.
-    Ranking expected = reloaded->Query(probe, {.k = 10});
-    if (!keeps_ids) {
-      for (RankedResult& r : expected) {
-        r.id = live_ids[static_cast<size_t>(r.id)];
-      }
-    }
-    EXPECT_EQ(engine->Query(probe, {.k = 10}), expected);
-    if (keeps_ids) {
-      EXPECT_EQ(reloaded->alive_ids(), live_ids);
-      // Removing by external id hits the same graph in both engines.
-      ASSERT_TRUE(reloaded->Remove(live_ids[1]).ok());
-      ASSERT_TRUE(engine->Remove(live_ids[1]).ok());
-      EXPECT_EQ(engine->Query(probe, {.k = 10}),
-                reloaded->Query(probe, {.k = 10}));
-    }
-  }
+  const std::string path = ::testing::TempDir() + "/gdim_snap.idx2";
+  ASSERT_TRUE(engine->Snapshot(path).ok());
+  Result<PersistedIndex> back = ReadIndexFile(path);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  // The snapshot is exactly the live database in id order, with the
+  // external ids.
+  const PersistedIndex live = engine->ToPersistedIndex();
+  EXPECT_EQ(back->db_bits, live.db_bits);
+  EXPECT_EQ(back->ids, engine->alive_ids());
+  auto reloaded = ShardedEngine::FromIndex(std::move(back).value());
+  ASSERT_TRUE(reloaded.ok());
+  ScopedRole reloaded_writer(&reloaded->writer_role());
+  EXPECT_EQ(reloaded->num_graphs(), engine->num_graphs());
+  EXPECT_EQ(reloaded->alive_ids(), engine->alive_ids());
+  Graph probe;  // vertex labels 0..2 = features 0..2
+  probe.AddVertex(0);
+  probe.AddVertex(1);
+  probe.AddVertex(2);
+  // The reloaded engine answers bit-identically with the same external ids,
+  // and removing by external id hits the same graph in both engines.
+  EXPECT_EQ(reloaded->Query(probe, {.k = 10}), engine->Query(probe, {.k = 10}));
+  const int victim = engine->alive_ids()[1];
+  ASSERT_TRUE(reloaded->Remove(victim).ok());
+  ASSERT_TRUE(engine->Remove(victim).ok());
+  EXPECT_EQ(engine->Query(probe, {.k = 10}), reloaded->Query(probe, {.k = 10}));
 }
 
 TEST(IndexIoTest, PackedReaderMatchesByteReaderForAllFormats) {
@@ -381,13 +387,8 @@ TEST(IndexIoTest, PackedReaderMatchesByteReaderForAllFormats) {
           index.ids[static_cast<size_t>(i)] = 2 * i + 1;  // sparse ids
         }
       }
-      for (IndexFormat format :
-           {IndexFormat::kV1Text, IndexFormat::kV2Binary,
-            IndexFormat::kV3Sectioned}) {
-        const std::string path = ::testing::TempDir() + "/gdim_packed_rt" +
-                                 (format == IndexFormat::kV1Text ? ".idx"
-                                                                 : ".idx2");
-        ASSERT_TRUE(WriteIndexFile(index, path, format).ok());
+      for (const int version : {1, 2, 3}) {
+        const std::string path = WriteInFormat(index, version, "gdim_packed");
         Result<PackedIndex> packed = ReadIndexFilePacked(path);
         ASSERT_TRUE(packed.ok())
             << "p=" << p << " n=" << n << ": " << packed.status().ToString();
@@ -421,53 +422,61 @@ TEST(IndexIoTest, PackedReaderMasksHostilePaddingBits) {
       0x0000000000000000ULL | 0xFFFFFFFFFFFFFC00ULL,  // no bits + junk
   };
   const std::string path = ::testing::TempDir() + "/gdim_dirty_pad.idx2";
-  ASSERT_TRUE(WriteIndexFileV2Words(
+  ASSERT_TRUE(WriteIndexFileV3Words(
                   meta.features, 3, 1,
-                  [&](uint64_t i) { return &dirty_rows[i]; }, {}, -1, path)
+                  [&](uint64_t i) { return &dirty_rows[i]; }, {}, -1,
+                  V3Sections{}, path)
                   .ok());
-  Result<PackedIndex> packed = ReadIndexFilePacked(path);
-  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
-  EXPECT_EQ(packed->rows.UnpackRow(0), std::vector<uint8_t>(p, 1));
-  std::vector<uint8_t> bit0(p, 0);
-  bit0[0] = 1;
-  EXPECT_EQ(packed->rows.UnpackRow(1), bit0);
-  EXPECT_EQ(packed->rows.UnpackRow(2), std::vector<uint8_t>(p, 0));
-  // Distances see only the real bits: an all-ones query is 0 away from row
-  // 0 and p-away from row 2 — junk would inflate the popcount.
-  const std::vector<uint64_t> query =
-      packed->rows.PackQuery(std::vector<uint8_t>(p, 1));
-  EXPECT_EQ(packed->rows.HammingDistance(query, 0), 0);
-  EXPECT_EQ(packed->rows.HammingDistance(query, 1), p - 1);
-  EXPECT_EQ(packed->rows.HammingDistance(query, 2), p);
+  const std::string v3_bytes = Slurp(path);
+  // The same dirty words through both block-read paths.
+  for (const std::string& bytes :
+       {v3_bytes, testing_util::V2BytesFromV3(v3_bytes)}) {
+    Spit(path, bytes);
+    Result<PackedIndex> packed = ReadIndexFilePacked(path);
+    ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+    EXPECT_EQ(packed->rows.UnpackRow(0), std::vector<uint8_t>(p, 1));
+    std::vector<uint8_t> bit0(p, 0);
+    bit0[0] = 1;
+    EXPECT_EQ(packed->rows.UnpackRow(1), bit0);
+    EXPECT_EQ(packed->rows.UnpackRow(2), std::vector<uint8_t>(p, 0));
+    // Distances see only the real bits: an all-ones query is 0 away from
+    // row 0 and p away from row 2 — junk would inflate the popcount.
+    const std::vector<uint64_t> query =
+        packed->rows.PackQuery(std::vector<uint8_t>(p, 1));
+    EXPECT_EQ(packed->rows.HammingDistance(query, 0), 0);
+    EXPECT_EQ(packed->rows.HammingDistance(query, 1), p - 1);
+    EXPECT_EQ(packed->rows.HammingDistance(query, 2), p);
+  }
 }
 
-TEST(IndexIoTest, OpenServesIdenticallyThroughThePackedPath) {
+TEST(IndexIoTest, OpenServesEveryFormatThroughThePackedPath) {
   Rng rng(47);
   PersistedIndex index = RandomIndex(25, 70, &rng);
-  const std::string path = ::testing::TempDir() + "/gdim_packed_open.idx2";
-  ASSERT_TRUE(WriteIndexFile(index, path, IndexFormat::kV2Binary).ok());
-  // Open() loads v2 through ReadIndexFilePacked (block read, no byte
-  // detour); it must serve bit-identically to the byte-path engine.
-  auto packed_engine = QueryEngine::Open(path);
-  ASSERT_TRUE(packed_engine.ok()) << packed_engine.status().ToString();
-  auto byte_engine = QueryEngine::FromIndex(index);
-  ASSERT_TRUE(byte_engine.ok());
-  // This test body is both engines' single writer.
-  ScopedRole packed_writer(&packed_engine->writer_role());
-  ScopedRole byte_writer(&byte_engine->writer_role());
-  EXPECT_EQ(packed_engine->num_graphs(), 25);
-  for (const auto& probe_bits : RandomBitRows(6, 70, 0.35, &rng)) {
-    EXPECT_EQ(packed_engine->QueryMapped(probe_bits, {.k = 8}),
-              byte_engine->QueryMapped(probe_bits, {.k = 8}));
+  const testing_util::LiveRows live = testing_util::LiveRowsOf(index);
+  const auto probes = RandomBitRows(6, 70, 0.35, &rng);
+  const auto fresh_row = RandomBitRows(1, 70, 0.5, &rng)[0];
+  for (const int version : {1, 2, 3}) {
+    // Open() loads every format through ReadIndexFilePacked (v2/v3 as a
+    // block read, no byte detour); it must serve exactly like brute force.
+    auto engine =
+        ShardedEngine::Open(WriteInFormat(index, version, "gdim_open"));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ScopedRole writer(&engine->writer_role());
+    EXPECT_EQ(engine->num_graphs(), 25);
+    EXPECT_EQ(engine->generation(), 0u);  // no META section to restore
+    for (const auto& probe : probes) {
+      EXPECT_EQ(engine->QueryMapped(probe, {.k = 8}),
+                testing_util::BruteForceTopK(probe, live, 8))
+          << "v" << version;
+    }
+    // Mutations on a packed-loaded engine behave identically too.
+    ASSERT_TRUE(engine->Remove(3).ok());
+    auto a = engine->InsertMapped(fresh_row);
+    ASSERT_TRUE(a.ok());
+    EXPECT_EQ(*a, 25);
+    engine->Compact();
+    EXPECT_EQ(engine->num_graphs(), 25);
   }
-  // Mutations on a packed-loaded engine behave identically too.
-  ASSERT_TRUE(packed_engine->Remove(3).ok());
-  ASSERT_TRUE(byte_engine->Remove(3).ok());
-  auto a = packed_engine->InsertMapped(RandomBitRows(1, 70, 0.5, &rng)[0]);
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(*a, 25);
-  packed_engine->Compact();
-  EXPECT_EQ(packed_engine->num_graphs(), 25);
 }
 
 // ------------------------------------------------------------------ v3 --
@@ -494,8 +503,7 @@ PersistedIndex V3Corpus() {
 /// fuzz tests splice hostile sections onto it.
 std::string V3BaseBytes() {
   const std::string path = ::testing::TempDir() + "/gdim_v3_base.idx2";
-  GDIM_CHECK(
-      WriteIndexFile(V3Corpus(), path, IndexFormat::kV3Sectioned).ok());
+  GDIM_CHECK(WriteIndexFile(V3Corpus(), path).ok());
   return Slurp(path);
 }
 
@@ -526,10 +534,22 @@ StatusCode ReadCode(const std::string& path, const std::string& bytes) {
   return ReadIndexFilePacked(path).status().code();
 }
 
-TEST(IndexIoTest, V3RoundTripCarriesSections) {
+/// One single-vertex graph per V3Corpus row: the STOR graphs.
+GraphDatabase V3StoreGraphs() {
+  GraphDatabase graphs;
+  for (int i = 0; i < 4; ++i) {
+    Graph g;
+    g.AddVertex(static_cast<LabelId>(i));
+    graphs.push_back(g);
+  }
+  return graphs;
+}
+
+/// V3Corpus written with all four sections (generation 5, epoch 77, the
+/// STOR graphs, two IVF buckets); returns the path.
+std::string FullV3File() {
   const PersistedIndex index = V3Corpus();
   const PackedBitMatrix packed = PackedBitMatrix::FromRows(index.db_bits, 9);
-
   PersistedMeta meta;
   meta.generation = 5;
   meta.epoch = 77;
@@ -537,25 +557,24 @@ TEST(IndexIoTest, V3RoundTripCarriesSections) {
   ivf.num_bits = 9;
   ivf.buckets.push_back({{0x21}, {3, 7}});
   ivf.buckets.push_back({{0x42}, {9, 40}});
-  GraphDatabase store_graphs;
-  for (int i = 0; i < 4; ++i) {
-    Graph g;
-    g.AddVertex(static_cast<LabelId>(i));
-    store_graphs.push_back(g);
-  }
+  const GraphDatabase store_graphs = V3StoreGraphs();
   V3Sections sections;
   sections.meta = &meta;
   sections.store_ids = &index.ids;
   sections.store_graphs = &store_graphs;
   sections.ivf = &ivf;
-
   const std::string path = ::testing::TempDir() + "/gdim_v3_full.idx2";
-  ASSERT_TRUE(WriteIndexFileV3Words(
-                  index.features, 4, 1,
-                  [&](uint64_t i) { return packed.row(static_cast<int>(i)); },
-                  index.ids, -1, sections, path)
-                  .ok());
+  GDIM_CHECK(WriteIndexFileV3Words(
+                 index.features, 4, 1,
+                 [&](uint64_t i) { return packed.row(static_cast<int>(i)); },
+                 index.ids, -1, sections, path)
+                 .ok());
+  return path;
+}
 
+TEST(IndexIoTest, V3RoundTripCarriesSections) {
+  const PersistedIndex index = V3Corpus();
+  const std::string path = FullV3File();
   Result<PackedIndex> back = ReadIndexFilePacked(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->ids, index.ids);
@@ -566,7 +585,7 @@ TEST(IndexIoTest, V3RoundTripCarriesSections) {
   ASSERT_TRUE(back->store.has_value());
   EXPECT_EQ(back->store->ids, index.ids);
   ASSERT_EQ(back->store->graphs.size(), 4u);
-  EXPECT_EQ(back->store->graphs[2], store_graphs[2]);
+  EXPECT_EQ(back->store->graphs[2], V3StoreGraphs()[2]);
   ASSERT_TRUE(back->ivf.has_value());
   EXPECT_EQ(back->ivf->num_bits, 9);
   ASSERT_EQ(back->ivf->buckets.size(), 2u);
@@ -574,13 +593,41 @@ TEST(IndexIoTest, V3RoundTripCarriesSections) {
   EXPECT_EQ(back->ivf->buckets[0].ids, (std::vector<int>{3, 7}));
   EXPECT_EQ(back->ivf->buckets[1].ids, (std::vector<int>{9, 40}));
 
-  // An engine opened from the file adopts the persisted epoch, and the
-  // byte-view reader still accepts the file (sections validated, dropped).
-  auto engine = QueryEngine::Open(path);
+  // An engine opened from the file adopts the persisted generation, epoch
+  // and IVF layout, and the byte-view reader still accepts the file
+  // (sections validated, dropped).
+  auto engine = ShardedEngine::Open(path);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine->generation(), 5u);
   EXPECT_EQ(engine->epoch(), 77u);
   EXPECT_EQ(engine->ivf_buckets(), 2);
   ASSERT_TRUE(ReadIndexFile(path).ok());
+}
+
+TEST(IndexIoTest, ConvertKeepsEveryV3SectionByteForByte) {
+  // A file with DIMS + META + STOR + IVFX through the convert path: the
+  // sections come back equal and the bytes identical.
+  const std::string in = FullV3File();
+  const std::string out = ::testing::TempDir() + "/gdim_v3_converted.idx";
+  Convert(in, out);
+  Result<PackedIndex> a = ReadIndexFilePacked(in);
+  Result<PackedIndex> b = ReadIndexFilePacked(out);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(b->meta.has_value() && b->store.has_value() &&
+              b->ivf.has_value());
+  EXPECT_EQ(b->meta->generation, a->meta->generation);
+  EXPECT_EQ(b->meta->epoch, a->meta->epoch);
+  EXPECT_EQ(b->store->ids, a->store->ids);
+  EXPECT_EQ(b->store->graphs, a->store->graphs);
+  ASSERT_EQ(b->ivf->buckets.size(), a->ivf->buckets.size());
+  for (size_t i = 0; i < a->ivf->buckets.size(); ++i) {
+    EXPECT_EQ(b->ivf->buckets[i].centroid_words,
+              a->ivf->buckets[i].centroid_words);
+    EXPECT_EQ(b->ivf->buckets[i].ids, a->ivf->buckets[i].ids);
+  }
+  EXPECT_EQ(b->ids, a->ids);
+  EXPECT_EQ(b->next_id, a->next_id);
+  EXPECT_EQ(Slurp(out), Slurp(in));
 }
 
 TEST(IndexIoTest, V3WriterMirrorsReaderValidation) {
@@ -735,13 +782,21 @@ TEST(IndexIoTest, V2FilesLoadWithoutSections) {
   // generation/epoch restart at zero), no STOR, and no IVFX.
   const PersistedIndex index = V3Corpus();
   const std::string path = ::testing::TempDir() + "/gdim_v2_compat.idx2";
-  ASSERT_TRUE(WriteIndexFile(index, path, IndexFormat::kV2Binary).ok());
+  WriteV2IndexFile(index, path);
   Result<PackedIndex> packed = ReadIndexFilePacked(path);
   ASSERT_TRUE(packed.ok()) << packed.status().ToString();
   EXPECT_FALSE(packed->meta.has_value());
   EXPECT_FALSE(packed->store.has_value());
   EXPECT_FALSE(packed->ivf.has_value());
   EXPECT_EQ(packed->ids, index.ids);
+  // Opened as an engine it serves the rows, at generation and epoch 0, with
+  // a freshly built IVF index.
+  auto engine = ShardedEngine::Open(path);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine->generation(), 0u);
+  EXPECT_EQ(engine->epoch(), 0u);
+  EXPECT_GT(engine->ivf_buckets(), 0);
+  EXPECT_EQ(engine->alive_ids(), index.ids);
 }
 
 TEST(IndexIoTest, EndToEndServeFromDisk) {

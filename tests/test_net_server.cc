@@ -21,13 +21,13 @@
 #include "core/index_io.h"
 #include "core/kernels/scan_kernel.h"
 #include "graph/graph.h"
-#include "serve/query_engine.h"
 #include "server/batch_executor.h"
 #include "server/net_server.h"
 #include "server/net_socket.h"
 #include "server/sharded_engine.h"
 #include "server/wire.h"
 #include "store/graph_store.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -251,11 +251,15 @@ class NetServerTest : public ::testing::Test {
     executor_.emplace(&*engine_, executor_opts);
     server_.emplace(&*executor_);
     ASSERT_TRUE(server_->Start().ok());
-    // A shadow engine for expected answers (the served one is owned by the
-    // executor once it runs).
-    auto shadow = QueryEngine::FromIndex(LabelIndex(20));
-    ASSERT_TRUE(shadow.ok());
-    shadow_.emplace(std::move(shadow).value());
+  }
+
+  /// The expected answer over the initial 20 rows, by brute force (the
+  /// served engine is owned by the executor once it runs).
+  static Ranking Expected(const Graph& probe, int k) {
+    const PersistedIndex index = LabelIndex(20);
+    return testing_util::BruteForceTopK(
+        FeatureMapper(index.features).Map(probe),
+        testing_util::LiveRowsOf(index), k);
   }
 
   void TearDown() override {
@@ -265,7 +269,6 @@ class NetServerTest : public ::testing::Test {
   std::optional<ShardedEngine> engine_;
   std::optional<BatchExecutor> executor_;
   std::optional<NetServer> server_;
-  std::optional<QueryEngine> shadow_;
 };
 
 TEST_F(NetServerTest, VerbsRoundTripOverTcp) {
@@ -273,8 +276,7 @@ TEST_F(NetServerTest, VerbsRoundTripOverTcp) {
   EXPECT_EQ(client.Rpc("PING"), "OK pong");
 
   const Graph probe = LabelGraph({0, 2, 4});
-  const std::string expected =
-      FormatRankingResponse(shadow_->Query(probe, {.k = 5}));
+  const std::string expected = FormatRankingResponse(Expected(probe, 5));
   EXPECT_EQ(client.Rpc("QUERY 5 " + EncodeGraphInline(probe)), expected);
 
   EXPECT_EQ(client.Rpc("INSERT " + EncodeGraphInline(LabelGraph({0, 1}))),
@@ -285,7 +287,7 @@ TEST_F(NetServerTest, VerbsRoundTripOverTcp) {
 
   const std::string snap = ::testing::TempDir() + "/gdim_net_snap.idx2";
   EXPECT_EQ(client.Rpc("SNAPSHOT " + snap), "OK snapshot");
-  auto reloaded = QueryEngine::Open(snap);
+  auto reloaded = ShardedEngine::Open(snap);
   ASSERT_TRUE(reloaded.ok());
   EXPECT_EQ(reloaded->num_graphs(), 20);
 
@@ -325,8 +327,7 @@ TEST_F(NetServerTest, QueryModeOptionTravelsOverTheWire) {
   const std::string spec = EncodeGraphInline(probe);
   // MODE=auto and MODE=full are the same exact scan as no option — the
   // wire option must parse, execute, and change nothing.
-  const std::string expected =
-      FormatRankingResponse(shadow_->Query(probe, {.k = 5}));
+  const std::string expected = FormatRankingResponse(Expected(probe, 5));
   EXPECT_EQ(client.Rpc("QUERY 5 " + spec), expected);
   EXPECT_EQ(client.Rpc("QUERY 5 MODE=full " + spec), expected);
   EXPECT_EQ(client.Rpc("QUERY 5 MODE=auto " + spec), expected);
@@ -350,7 +351,7 @@ TEST_F(NetServerTest, ConcurrentConnectionsGetExactAnswers) {
   };
   std::vector<std::string> expected;
   for (const Graph& p : probes) {
-    expected.push_back(FormatRankingResponse(shadow_->Query(p, {.k = 6})));
+    expected.push_back(FormatRankingResponse(Expected(p, 6)));
   }
   constexpr int kClients = 5;
   constexpr int kPerClient = 20;
@@ -592,7 +593,7 @@ TEST_F(NetServerTest, OversizedLineAnswersTypedErrorAndResynchronizes) {
   EXPECT_EQ(client.Rpc("PING"), "OK pong");
   const Graph probe = LabelGraph({0, 2, 4});
   EXPECT_EQ(client.Rpc("QUERY 5 " + EncodeGraphInline(probe)),
-            FormatRankingResponse(shadow_->Query(probe, {.k = 5})));
+            FormatRankingResponse(Expected(probe, 5)));
 }
 
 // --------------------------------------------------- snapshot under load --
@@ -620,14 +621,13 @@ TEST_F(NetServerTest, SnapshotOverTheWireDoesNotBlockOtherConnections) {
   }
   // Sustained service while the snapshot writer is parked.
   const Graph probe = LabelGraph({1, 3});
-  const std::string expected =
-      FormatRankingResponse(shadow_->Query(probe, {.k = 6}));
+  const std::string expected = FormatRankingResponse(Expected(probe, 6));
   for (int i = 0; i < 20; ++i) {
     ASSERT_EQ(client.Rpc("QUERY 6 " + EncodeGraphInline(probe)), expected);
   }
   ASSERT_EQ(StatsField(client.Rpc("STATS"), "snapshots_in_progress"), 1);
 
-  // Drain the pipe; the RPC must now complete with OK and valid v2 bytes.
+  // Drain the pipe; the RPC must now complete with OK and valid v3 bytes.
   const std::string drained = fifo + ".idx2";
   {
     const int read_fd = ::open(fifo.c_str(), O_RDONLY);
@@ -641,7 +641,7 @@ TEST_F(NetServerTest, SnapshotOverTheWireDoesNotBlockOtherConnections) {
     ::close(read_fd);
   }
   EXPECT_EQ(pending.get(), "OK snapshot");
-  Result<QueryEngine> reloaded = QueryEngine::Open(drained);
+  Result<ShardedEngine> reloaded = ShardedEngine::Open(drained);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded->num_graphs(), 20);
   ::unlink(fifo.c_str());
@@ -727,8 +727,7 @@ TEST_F(NetServerTest, TraceOptionReturnsAStageBreakdownLine) {
   Client client(server_->port());
   const Graph probe = LabelGraph({0, 2, 4});
   const std::string spec = EncodeGraphInline(probe);
-  const std::string expected =
-      FormatRankingResponse(shadow_->Query(probe, {.k = 5}));
+  const std::string expected = FormatRankingResponse(Expected(probe, 5));
 
   WallTimer client_timer;
   const std::vector<std::string> traced =

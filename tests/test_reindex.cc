@@ -24,7 +24,6 @@
 #include "datasets/chemgen.h"
 #include "graph/graph.h"
 #include "reindex/dimension_refresher.h"
-#include "serve/query_engine.h"
 #include "server/batch_executor.h"
 #include "server/sharded_engine.h"
 #include "store/graph_store.h"
@@ -148,34 +147,6 @@ TEST(BuildGenerationTest, RejectsDegenerateInputs) {
 }
 
 // ------------------------------------------------------ generation swap --
-
-TEST(GenerationSwapTest, QueryEngineAdoptKeepsEpochStrictlyMonotonic) {
-  const GraphDatabase db = GenerateChemDatabase(SmallChem(12, 21));
-  const PersistedIndex index = InitialIndex(db, FastRefresh("Sample", 6, 2));
-  auto engine = QueryEngine::FromIndex(index);
-  ASSERT_TRUE(engine.ok());
-  ScopedRole writer(&engine->writer_role());
-  ASSERT_TRUE(engine->Remove(0).ok());
-  ASSERT_TRUE(engine->Remove(1).ok());
-  const uint64_t before = engine->epoch();
-  ASSERT_GE(before, 2u);
-
-  auto next = QueryEngine::FromIndex(
-      InitialIndex(db, FastRefresh("Sample", 4, 7)));
-  ASSERT_TRUE(next.ok());
-  EXPECT_EQ(next->epoch(), 0u);  // fresh build
-  engine->AdoptGeneration(std::move(next).value());
-  EXPECT_GT(engine->epoch(), before);
-  EXPECT_EQ(engine->num_features(), 4);
-  EXPECT_EQ(engine->num_graphs(), static_cast<int>(db.size()));
-
-  // Raising is monotonic and never lowers.
-  const uint64_t raised = engine->epoch() + 5;
-  engine->RaiseEpochToAtLeast(raised);
-  EXPECT_EQ(engine->epoch(), raised);
-  engine->RaiseEpochToAtLeast(1);
-  EXPECT_EQ(engine->epoch(), raised);
-}
 
 TEST(GenerationSwapTest, ShardedSwapBumpsEpochAndGeneration) {
   const GraphDatabase db = GenerateChemDatabase(SmallChem(14, 31));

@@ -21,7 +21,6 @@
 #include "datasets/chemgen.h"
 #include "graph/graph.h"
 #include "reindex/dimension_refresher.h"
-#include "serve/query_engine.h"
 #include "server/batch_executor.h"
 #include "server/sharded_engine.h"
 #include "store/graph_store.h"
@@ -240,51 +239,6 @@ TEST(RestartDifferentialTest, V3SnapshotRestartIsBitIdentical) {
       EXPECT_EQ(gen3->generation, 3u);
     }
   }
-}
-
-TEST(RestartDifferentialTest, V2EscapeHatchDegradesToGenerationZero) {
-  // The pre-v3 behavior, kept reachable through the explicit kV2Binary
-  // escape hatch: the reload serves the right rows but the generation and
-  // epoch restart at zero and the IVF index is rebuilt from scratch. (The
-  // serve-net loader WARNs about exactly this when it sees a sectionless
-  // snapshot; tools/restart_smoke.sh exercises the wire-level path.)
-  const GraphDatabase corpus = GenerateChemDatabase(SmallChem(18, 95));
-  const PersistedIndex index =
-      InitialIndex(corpus, FastRefresh("Sample", 6, 2));
-  ShardedOptions opts;
-  opts.num_shards = 2;
-  auto engine = ShardedEngine::FromIndex(index, opts);
-  ASSERT_TRUE(engine.ok());
-  ScopedRole writer(&engine->writer_role());
-  ASSERT_TRUE(engine->Remove(3).ok());
-
-  // A generation swap, then a v2 snapshot of the swapped engine.
-  auto next = ShardedEngine::FromIndex(
-      InitialIndex(corpus, FastRefresh("Sample", 6, 7)), opts);
-  ASSERT_TRUE(next.ok());
-  engine->SwapGeneration(std::move(next).value());
-  ASSERT_EQ(engine->generation(), 1u);
-  ASSERT_GT(engine->epoch(), 0u);
-
-  const std::string path = ::testing::TempDir() + "/gdim_v2_degraded.idx2";
-  ASSERT_TRUE(engine->Snapshot(path, IndexFormat::kV2Binary).ok());
-  Result<PackedIndex> packed = ReadIndexFilePacked(path);
-  ASSERT_TRUE(packed.ok());
-  EXPECT_FALSE(packed->meta.has_value());  // nothing to restore from
-  auto reloaded = ShardedEngine::FromPacked(std::move(*packed), opts);
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_EQ(reloaded->generation(), 0u);  // pre-restart history is lost
-  EXPECT_EQ(reloaded->epoch(), 0u);
-  EXPECT_GT(reloaded->ivf_buckets(), 0);  // rebuilt, serving continues
-  EXPECT_EQ(reloaded->num_graphs(), engine->num_graphs());
-
-  // The v3 default restores both counters from the same engine state.
-  const std::string v3_path = ::testing::TempDir() + "/gdim_v3_meta.idx2";
-  ASSERT_TRUE(engine->Snapshot(v3_path).ok());
-  auto restored = ShardedEngine::Open(v3_path, opts);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->generation(), 1u);
-  EXPECT_EQ(restored->epoch(), engine->epoch());
 }
 
 }  // namespace

@@ -17,11 +17,13 @@
 #include "core/packed_bits.h"
 #include "core/topk.h"
 #include "gtest/gtest.h"
-#include "serve/query_engine.h"
+#include "server/sharded_engine.h"
 #include "test_util.h"
 
 namespace gdim {
 namespace {
+
+using testing_util::ExpectEngineMatchesBruteForce;
 
 /// Naive word-popcount reference, deliberately independent of every kernel.
 uint32_t ReferenceDiff(const uint64_t* a, const uint64_t* b, size_t words) {
@@ -259,33 +261,6 @@ TEST(ScanKernelTest, FusedScanTopKMatchesBruteForceAcrossShapes) {
   }
 }
 
-/// Every engine scan path for one query set, against brute force: the
-/// tiled batch path, the single-query full path, and the IVF candidate
-/// path at NPROBE=all (which prunes nothing, so it must also be exact).
-void ExpectEngineMatchesBruteForce(
-    const QueryEngine& engine,
-    const std::vector<std::vector<uint8_t>>& fingerprints,
-    const testing_util::LiveRows& live, const std::string& what) {
-  ASSERT_EQ(engine.num_graphs(), static_cast<int>(live.size())) << what;
-  for (const int k : testing_util::BoundaryKs(live)) {
-    const QueryOptions full{.k = k, .scan_mode = ScanMode::kFull};
-    const QueryOptions approx_all{.k = k, .scan_mode = ScanMode::kApprox,
-                                  .nprobe = kNprobeAll};
-    const std::vector<Ranking> tiled = engine.QueryMappedTile(
-        fingerprints.data(), static_cast<int>(fingerprints.size()), full);
-    ASSERT_EQ(tiled.size(), fingerprints.size());
-    for (size_t i = 0; i < fingerprints.size(); ++i) {
-      const Ranking expected =
-          testing_util::BruteForceTopK(fingerprints[i], live, k);
-      EXPECT_EQ(tiled[i], expected) << what << " tiled q=" << i << " k=" << k;
-      EXPECT_EQ(engine.QueryMapped(fingerprints[i], full), expected)
-          << what << " full q=" << i << " k=" << k;
-      EXPECT_EQ(engine.QueryMapped(fingerprints[i], approx_all), expected)
-          << what << " approx q=" << i << " k=" << k;
-    }
-  }
-}
-
 // The engine's fused scans through every layout the segments can take:
 // base only, delta only, both, tombstones placed exactly on the k-th
 // distance, every row tombstoned, and after compaction — on a tie-heavy
@@ -299,11 +274,11 @@ TEST(ScanKernelTest, EngineFusedScanMatchesBruteForceThroughChurn) {
     const auto delta_rows = testing_util::TieHeavyRows(40, p, &rng);
     const auto fingerprints = RandomBitRows(11, p, 0.4, &rng);
 
-    // Base only (empty delta).
-    auto built = QueryEngine::FromIndex(
-        testing_util::LabelFeatureIndex(p, base_rows));
+    // Base only (empty delta), on one shard: the single-engine layout.
+    auto built =
+        ShardedEngine::FromIndex(testing_util::LabelFeatureIndex(p, base_rows));
     ASSERT_TRUE(built.ok()) << built.status().ToString();
-    QueryEngine engine = std::move(built).value();
+    ShardedEngine& engine = *built;
     ScopedRole writer(&engine.writer_role());
     testing_util::LiveRows live;
     for (int i = 0; i < 300; ++i) live[i] = base_rows[static_cast<size_t>(i)];
@@ -342,9 +317,10 @@ TEST(ScanKernelTest, EngineFusedScanMatchesBruteForceThroughChurn) {
     ExpectEngineMatchesBruteForce(engine, fingerprints, live, at + " empty");
 
     // Delta only (empty base).
-    auto empty = QueryEngine::FromIndex(testing_util::LabelFeatureIndex(p, {}));
+    auto empty =
+        ShardedEngine::FromIndex(testing_util::LabelFeatureIndex(p, {}));
     ASSERT_TRUE(empty.ok()) << empty.status().ToString();
-    QueryEngine delta_only = std::move(empty).value();
+    ShardedEngine& delta_only = *empty;
     ScopedRole delta_writer(&delta_only.writer_role());
     for (const auto& row : delta_rows) {
       const Result<int> id = delta_only.InsertMapped(row);
@@ -368,9 +344,9 @@ TEST(ScanKernelTest, TiledBatchMatchesSingleQueriesAcrossMutations) {
     index.features.push_back(f);
   }
   index.db_bits = RandomBitRows(40, p, 0.4, &rng);
-  Result<QueryEngine> built = QueryEngine::FromIndex(index);
+  Result<ShardedEngine> built = ShardedEngine::FromIndex(index);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  QueryEngine engine = std::move(built).value();
+  ShardedEngine& engine = *built;
   // This test body is the engine's single writer.
   ScopedRole writer(&engine.writer_role());
   for (const auto& row : RandomBitRows(9, p, 0.4, &rng)) {
@@ -381,9 +357,8 @@ TEST(ScanKernelTest, TiledBatchMatchesSingleQueriesAcrossMutations) {
   const std::vector<std::vector<uint8_t>> fingerprints =
       RandomBitRows(13, p, 0.4, &rng);
   const QueryOptions query_options{.k = 6, .scan_mode = ScanMode::kFull};
-  const std::vector<Ranking> tiled = engine.QueryMappedTile(
-      fingerprints.data(), static_cast<int>(fingerprints.size()),
-      query_options);
+  const std::vector<Ranking> tiled =
+      engine.QueryMappedBatch(fingerprints, query_options);
   ASSERT_EQ(tiled.size(), fingerprints.size());
   for (size_t i = 0; i < fingerprints.size(); ++i) {
     EXPECT_EQ(tiled[i], engine.QueryMapped(fingerprints[i], query_options))

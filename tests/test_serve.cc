@@ -1,6 +1,6 @@
 // Serving hot-path tests: the packed bit-matrix scan must agree bit for bit
-// with the byte-vector reference, and the QueryEngine must be deterministic
-// across thread counts.
+// with the byte-vector reference, and the one-shard engine must match brute
+// force and be deterministic across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,8 @@
 #include "core/packed_bits.h"
 #include "core/topk.h"
 #include "datasets/chemgen.h"
-#include "serve/query_engine.h"
+#include "server/sharded_engine.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -159,7 +160,13 @@ TEST(LatencySummaryTest, PercentilesUseNearestRank) {
   EXPECT_DOUBLE_EQ(t.p99, 13.0);
 }
 
-class QueryEngineTest : public ::testing::Test {
+ShardedOptions Threads(int threads) {
+  ShardedOptions opts;
+  opts.serve.threads = threads;
+  return opts;
+}
+
+class SingleShardEngineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     ChemGenOptions gen;
@@ -198,12 +205,12 @@ class QueryEngineTest : public ::testing::Test {
   static PersistedIndex* index_;
 };
 
-GraphDatabase* QueryEngineTest::db_ = nullptr;
-GraphDatabase* QueryEngineTest::queries_ = nullptr;
-PersistedIndex* QueryEngineTest::index_ = nullptr;
+GraphDatabase* SingleShardEngineTest::db_ = nullptr;
+GraphDatabase* SingleShardEngineTest::queries_ = nullptr;
+PersistedIndex* SingleShardEngineTest::index_ = nullptr;
 
-TEST_F(QueryEngineTest, MatchesOfflineMappedRanking) {
-  auto engine = QueryEngine::FromIndex(*index_);
+TEST_F(SingleShardEngineTest, MatchesOfflineMappedRanking) {
+  auto engine = ShardedEngine::FromIndex(*index_);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   FeatureMapper mapper(index_->features);
   for (const Graph& q : *queries_) {
@@ -216,13 +223,9 @@ TEST_F(QueryEngineTest, MatchesOfflineMappedRanking) {
   }
 }
 
-TEST_F(QueryEngineTest, BatchIsDeterministicAcrossThreadCounts) {
-  ServeOptions one;
-  one.threads = 1;
-  ServeOptions eight;
-  eight.threads = 8;
-  auto engine1 = QueryEngine::FromIndex(*index_, one);
-  auto engine8 = QueryEngine::FromIndex(*index_, eight);
+TEST_F(SingleShardEngineTest, BatchIsDeterministicAcrossThreadCounts) {
+  auto engine1 = ShardedEngine::FromIndex(*index_, Threads(1));
+  auto engine8 = ShardedEngine::FromIndex(*index_, Threads(8));
   ASSERT_TRUE(engine1.ok());
   ASSERT_TRUE(engine8.ok());
   ServeBatchReport report1, report8;
@@ -241,11 +244,11 @@ TEST_F(QueryEngineTest, BatchIsDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST_F(QueryEngineTest, RejectsRaggedIndexRows) {
+TEST_F(SingleShardEngineTest, RejectsRaggedIndexRows) {
   PersistedIndex bad = *index_;
   ASSERT_FALSE(bad.db_bits.empty());
   bad.db_bits[0].pop_back();
-  auto engine = QueryEngine::FromIndex(std::move(bad));
+  auto engine = ShardedEngine::FromIndex(std::move(bad));
   EXPECT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
@@ -290,79 +293,50 @@ TEST(PackedBitMatrixTest, PackQueryValidatesWidthEvenWhenEmpty) {
 // ---------------------------------------------------------------------------
 // Mutable engine: segmented insert/remove/compact.
 
-/// Applies the same mutation to an engine and to a shadow (id, bits) model;
-/// the shadow stays sorted by id because new ids always exceed old ones.
-struct ShadowDb {
-  std::vector<std::pair<int, std::vector<uint8_t>>> rows;
-  int next_id = 0;
-
-  void Insert(std::vector<uint8_t> bits) {
-    rows.emplace_back(next_id++, std::move(bits));
-  }
-  void Remove(int id) {
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i].first == id) {
-        rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
-      }
-    }
-    FAIL() << "shadow has no id " << id;
-  }
-  std::vector<int> ids() const {
-    std::vector<int> out;
-    for (const auto& [id, bits] : rows) out.push_back(id);
-    return out;
-  }
-  PersistedIndex Equivalent(const GraphDatabase& features) const {
-    PersistedIndex index;
-    index.features = features;
-    for (const auto& [id, bits] : rows) index.db_bits.push_back(bits);
-    return index;
-  }
-};
-
-TEST_F(QueryEngineTest, MutationSequenceMatchesFreshEngineAcrossThreads) {
+TEST_F(SingleShardEngineTest, MutationSequenceMatchesBruteForceAcrossThreads) {
   FeatureMapper mapper(index_->features);
   for (int threads : {1, 8}) {
-    ServeOptions opts;
-    opts.threads = threads;
-    auto engine = QueryEngine::FromIndex(*index_, opts);
+    auto engine = ShardedEngine::FromIndex(*index_, Threads(threads));
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     // This test body is the engine's single writer.
     ScopedRole writer(&engine->writer_role());
-
-    ShadowDb shadow;
-    for (const auto& bits : index_->db_bits) shadow.Insert(bits);
+    // The live database, applied in lockstep: new ids always exceed old
+    // ones, so the map's id order is the engine's.
+    testing_util::LiveRows live = testing_util::LiveRowsOf(*index_);
+    int next_id = static_cast<int>(live.size());
 
     // Interleaved mutation script: removes, inserts, a mid-sequence
     // compaction, then more churn on both old and new ids.
     for (int id : {1, 5, 19, 38}) {
       ASSERT_TRUE(engine->Remove(id).ok());
-      shadow.Remove(id);
+      live.erase(id);
     }
     for (int i = 0; i < 10; ++i) {
       const Graph& g = (*queries_)[static_cast<size_t>(i)];
       auto inserted = engine->Insert(g);
       ASSERT_TRUE(inserted.ok());
-      EXPECT_EQ(*inserted, shadow.next_id);
-      shadow.Insert(mapper.Map(g));
+      EXPECT_EQ(*inserted, next_id);
+      live[next_id++] = mapper.Map(g);
     }
     engine->Compact();
-    EXPECT_EQ(engine->delta_rows(), 0);
+    EXPECT_EQ(engine->physical_rows(), engine->num_graphs());
     EXPECT_EQ(engine->tombstoned_rows(), 0);
     for (int id : {0, 2, 40, 44}) {  // ids 40/44 came from the delta
       ASSERT_TRUE(engine->Remove(id).ok());
-      shadow.Remove(id);
+      live.erase(id);
     }
     for (int i = 10; i < 16; ++i) {
       const Graph& g = (*queries_)[static_cast<size_t>(i)];
       ASSERT_TRUE(engine->Insert(g).ok());
-      shadow.Insert(mapper.Map(g));
+      live[next_id++] = mapper.Map(g);
     }
 
     // Mutation-surface sanity: ids are stable and misuse is graceful.
-    EXPECT_EQ(engine->alive_ids(), shadow.ids());
-    EXPECT_EQ(engine->num_graphs(), static_cast<int>(shadow.rows.size()));
+    std::vector<int> live_ids;
+    live_ids.reserve(live.size());
+    for (const auto& [id, bits] : live) live_ids.push_back(id);
+    EXPECT_EQ(engine->alive_ids(), live_ids);
+    EXPECT_EQ(engine->num_graphs(), static_cast<int>(live.size()));
     EXPECT_EQ(engine->Remove(5).code(), StatusCode::kNotFound);  // twice
     EXPECT_EQ(engine->Remove(9999).code(), StatusCode::kNotFound);
     EXPECT_EQ(engine->InsertMapped(std::vector<uint8_t>(3, 0))
@@ -370,39 +344,22 @@ TEST_F(QueryEngineTest, MutationSequenceMatchesFreshEngineAcrossThreads) {
                   .code(),
               StatusCode::kInvalidArgument);
 
-    // The invariant: bit-identical QueryBatch vs a fresh engine over the
-    // equivalent database, after mapping the fresh engine's positional
-    // ids through the live id list.
-    auto fresh =
-        QueryEngine::FromIndex(shadow.Equivalent(index_->features), opts);
-    ASSERT_TRUE(fresh.ok());
-    const std::vector<int> live_ids = shadow.ids();
+    // The invariant: bit-identical QueryBatch vs brute force over the live
+    // database, before and after a final compaction.
     for (int k : {0, 3, 1000}) {
-      std::vector<Ranking> expected = fresh->QueryBatch(*queries_, {.k = k});
-      for (Ranking& ranking : expected) {
-        for (RankedResult& r : ranking) {
-          r.id = live_ids[static_cast<size_t>(r.id)];
-        }
-      }
-      EXPECT_EQ(engine->QueryBatch(*queries_, {.k = k}), expected)
+      EXPECT_EQ(engine->QueryBatch(*queries_, {.k = k}),
+                testing_util::BruteForceBatch(mapper, *queries_, live, k))
           << "threads=" << threads << " k=" << k;
     }
-
-    // And the same invariant again after a final compaction.
     engine->Compact();
-    std::vector<Ranking> expected = fresh->QueryBatch(*queries_, {.k = 4});
-    for (Ranking& ranking : expected) {
-      for (RankedResult& r : ranking) {
-        r.id = live_ids[static_cast<size_t>(r.id)];
-      }
-    }
-    EXPECT_EQ(engine->QueryBatch(*queries_, {.k = 4}), expected);
+    EXPECT_EQ(engine->QueryBatch(*queries_, {.k = 4}),
+              testing_util::BruteForceBatch(mapper, *queries_, live, 4));
     EXPECT_EQ(engine->alive_ids(), live_ids);
   }
 }
 
-TEST_F(QueryEngineTest, NegativeKAnswersEmptyInsteadOfAborting) {
-  auto engine = QueryEngine::FromIndex(*index_);
+TEST_F(SingleShardEngineTest, NegativeKAnswersEmptyInsteadOfAborting) {
+  auto engine = ShardedEngine::FromIndex(*index_);
   ASSERT_TRUE(engine.ok());
   ServeQueryStats stats;
   EXPECT_TRUE(engine->Query((*queries_)[0], {.k = -3}, &stats).empty());
@@ -439,12 +396,12 @@ Graph LabelGraph(std::vector<LabelId> labels) {
   return g;
 }
 
-TEST(QueryEngineEmptyTest, EmptyDatabaseValidatesAndServes) {
+TEST(SingleShardEmptyTest, EmptyDatabaseValidatesAndServes) {
   // n = 0, p > 0: the engine must keep validating query width (the old
   // packed matrix lost its width with no rows) and serve empty rankings.
   PersistedIndex index = LabelSetIndex();
   index.db_bits.clear();
-  auto engine = QueryEngine::FromIndex(index);
+  auto engine = ShardedEngine::FromIndex(index);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_EQ(engine->num_graphs(), 0);
   EXPECT_EQ(engine->num_features(), 5);
@@ -467,17 +424,17 @@ TEST(QueryEngineEmptyTest, EmptyDatabaseValidatesAndServes) {
   EXPECT_DOUBLE_EQ(got[0].score, 0.0);
 }
 
-TEST(QueryEngineEmptyTest, ZeroFeatureDimension) {
+TEST(SingleShardEmptyTest, ZeroFeatureDimension) {
   // p = 0: every fingerprint is empty and every distance is 0; ranking
   // degenerates to ascending ids. n = 0 and n > 0 both serve.
   PersistedIndex empty;  // p = 0, n = 0
-  auto engine = QueryEngine::FromIndex(empty);
+  auto engine = ShardedEngine::FromIndex(empty);
   ASSERT_TRUE(engine.ok());
   EXPECT_TRUE(engine->Query(LabelGraph({0}), {.k = 3}).empty());
 
   PersistedIndex degenerate;  // p = 0, n = 2
   degenerate.db_bits = {{}, {}};
-  auto engine2 = QueryEngine::FromIndex(degenerate);
+  auto engine2 = ShardedEngine::FromIndex(degenerate);
   ASSERT_TRUE(engine2.ok());
   const Ranking got = engine2->Query(LabelGraph({0}), {.k = 5});
   ASSERT_EQ(got.size(), 2u);
@@ -486,8 +443,8 @@ TEST(QueryEngineEmptyTest, ZeroFeatureDimension) {
   EXPECT_DOUBLE_EQ(got[0].score, 0.0);
 }
 
-TEST(QueryEngineMutationTest, EpochBumpsOnMutationsOnly) {
-  auto engine = QueryEngine::FromIndex(LabelSetIndex());
+TEST(SingleShardMutationTest, EpochBumpsOnMutationsOnly) {
+  auto engine = ShardedEngine::FromIndex(LabelSetIndex());
   ASSERT_TRUE(engine.ok());
   ScopedRole writer(&engine->writer_role());
   EXPECT_EQ(engine->epoch(), 0u);
@@ -514,14 +471,14 @@ TEST(QueryEngineMutationTest, EpochBumpsOnMutationsOnly) {
   EXPECT_EQ(engine->epoch(), 3u);
 }
 
-TEST(QueryEngineMutationTest, FreezeCapturesStateImmuneToLaterMutations) {
-  auto engine = QueryEngine::FromIndex(LabelSetIndex());
+TEST(SingleShardMutationTest, FreezeCapturesStateImmuneToLaterMutations) {
+  auto engine = ShardedEngine::FromIndex(LabelSetIndex());
   ASSERT_TRUE(engine.ok());
   ScopedRole writer(&engine->writer_role());
   ASSERT_TRUE(engine->Insert(LabelGraph({1, 2})).ok());  // delta row
   ASSERT_TRUE(engine->Remove(0).ok());
   const std::vector<int> ids_at_freeze = engine->alive_ids();
-  const FrozenEngineState frozen = engine->Freeze();
+  const FrozenShardedState frozen = engine->Freeze();
 
   // Mutate hard after the freeze: append, remove, and compact (which
   // replaces the sealed base the capture shares).
@@ -530,15 +487,15 @@ TEST(QueryEngineMutationTest, FreezeCapturesStateImmuneToLaterMutations) {
   engine->Compact();
 
   std::vector<int> frozen_ids;
-  for (const auto& [id, words] : frozen.LiveRowWords()) {
+  for (const auto& [id, words] : frozen.shards[0].LiveRowWords()) {
     frozen_ids.push_back(id);
     EXPECT_NE(words, nullptr);
   }
   EXPECT_EQ(frozen_ids, ids_at_freeze);
 }
 
-TEST(QueryEngineMutationTest, TombstonesNeverSurfaceWhenKExceedsLiveCount) {
-  auto engine = QueryEngine::FromIndex(LabelSetIndex());
+TEST(SingleShardMutationTest, TombstonesNeverSurfaceWhenKExceedsLiveCount) {
+  auto engine = ShardedEngine::FromIndex(LabelSetIndex());
   ASSERT_TRUE(engine.ok());
   ScopedRole writer(&engine->writer_role());
   ASSERT_TRUE(engine->Remove(0).ok());

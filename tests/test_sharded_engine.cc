@@ -1,5 +1,5 @@
 // Sharded scatter-gather tests: a ShardedEngine over ANY shard count must
-// answer bit-identically (ids and scores) to a single QueryEngine on the
+// answer bit-identically (ids and scores) to a brute-force ranking of the
 // same database — through tie-heavy score distributions, k larger than any
 // shard, shards emptied by removals, interleaved churn, and snapshot/reload
 // cycles that change the shard count.
@@ -18,12 +18,13 @@
 #include "core/index_io.h"
 #include "core/mapper.h"
 #include "datasets/chemgen.h"
-#include "serve/query_engine.h"
 #include "server/sharded_engine.h"
 #include "test_util.h"
 
 namespace gdim {
 namespace {
+
+using testing_util::ExpectEngineMatchesBruteForce;
 
 ShardedOptions Sharded(int num_shards, int threads = 0) {
   ShardedOptions opts;
@@ -75,19 +76,19 @@ GraphDatabase* ShardedEngineTest::db_ = nullptr;
 GraphDatabase* ShardedEngineTest::queries_ = nullptr;
 PersistedIndex* ShardedEngineTest::index_ = nullptr;
 
-TEST_F(ShardedEngineTest, AnyShardCountMatchesSingleEngineBitForBit) {
-  auto single = QueryEngine::FromIndex(*index_);
-  ASSERT_TRUE(single.ok()) << single.status().ToString();
+TEST_F(ShardedEngineTest, AnyShardCountMatchesBruteForceBitForBit) {
+  const FeatureMapper mapper(index_->features);
+  const testing_util::LiveRows live = testing_util::LiveRowsOf(*index_);
   for (int shards : {1, 2, 4, 7}) {
     for (int threads : {1, 8}) {
       auto engine =
           ShardedEngine::FromIndex(*index_, Sharded(shards, threads));
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
       EXPECT_EQ(engine->num_shards(), shards);
-      EXPECT_EQ(engine->num_graphs(), single->num_graphs());
+      EXPECT_EQ(engine->num_graphs(), static_cast<int>(live.size()));
       for (int k : {0, 3, 1000}) {
         EXPECT_EQ(engine->QueryBatch(*queries_, {.k = k}),
-                  single->QueryBatch(*queries_, {.k = k}))
+                  testing_util::BruteForceBatch(mapper, *queries_, live, k))
             << "shards=" << shards << " threads=" << threads << " k=" << k;
       }
     }
@@ -105,48 +106,41 @@ TEST_F(ShardedEngineTest, ScatterStatsAggregateAcrossShards) {
   EXPECT_GT(stats.latency_ms, 0.0);
 }
 
-TEST_F(ShardedEngineTest, InterleavedChurnStaysIdenticalToSingleEngine) {
-  FeatureMapper mapper(index_->features);
+TEST_F(ShardedEngineTest, InterleavedChurnStaysIdenticalToBruteForce) {
+  const FeatureMapper mapper(index_->features);
   for (int threads : {1, 8}) {
-    ServeOptions serve;
-    serve.threads = threads;
-    auto single = QueryEngine::FromIndex(*index_, serve);
-    ASSERT_TRUE(single.ok());
     auto sharded = ShardedEngine::FromIndex(*index_, Sharded(4, threads));
     ASSERT_TRUE(sharded.ok());
-    // This test body is both engines' single writer.
-    ScopedRole single_writer(&single->writer_role());
+    // This test body is the engine's single writer.
     ScopedRole sharded_writer(&sharded->writer_role());
+    testing_util::LiveRows live = testing_util::LiveRowsOf(*index_);
 
-    // Identical mutation script against both engines: the sharded id
-    // sequence must mirror the single engine's exactly.
+    // The mutation script, mirrored on the live model: the global id
+    // sequence continues after the 40 initial rows.
     for (int id : {1, 5, 19, 38}) {
-      ASSERT_TRUE(single->Remove(id).ok());
       ASSERT_TRUE(sharded->Remove(id).ok());
+      live.erase(id);
     }
     for (int i = 0; i < 10; ++i) {
       const Graph& g = (*queries_)[static_cast<size_t>(i)];
-      auto single_id = single->Insert(g);
       auto sharded_id = sharded->Insert(g);
-      ASSERT_TRUE(single_id.ok());
       ASSERT_TRUE(sharded_id.ok());
-      EXPECT_EQ(*single_id, *sharded_id);
+      EXPECT_EQ(*sharded_id, 40 + i);
+      live[*sharded_id] = mapper.Map(g);
     }
     sharded->Compact();
-    single->Compact();
     for (int id : {0, 2, 40, 44}) {  // 40/44 were inserted above
-      ASSERT_TRUE(single->Remove(id).ok());
       ASSERT_TRUE(sharded->Remove(id).ok());
+      live.erase(id);
     }
     EXPECT_EQ(sharded->Remove(5).code(), StatusCode::kNotFound);  // twice
     EXPECT_EQ(sharded->Remove(-3).code(), StatusCode::kNotFound);
     EXPECT_EQ(sharded->Remove(9999).code(), StatusCode::kNotFound);
 
-    EXPECT_EQ(sharded->alive_ids(), single->alive_ids());
-    EXPECT_EQ(sharded->num_graphs(), single->num_graphs());
+    EXPECT_EQ(sharded->num_graphs(), static_cast<int>(live.size()));
     for (int k : {0, 3, 1000}) {
       EXPECT_EQ(sharded->QueryBatch(*queries_, {.k = k}),
-                single->QueryBatch(*queries_, {.k = k}))
+                testing_util::BruteForceBatch(mapper, *queries_, live, k))
           << "threads=" << threads << " k=" << k;
     }
   }
@@ -167,13 +161,9 @@ TEST_F(ShardedEngineTest, SnapshotReloadsUnderAnyShardCount) {
   const std::vector<Ranking> expected =
       sharded->QueryBatch(*queries_, {.k = 6});
   const std::vector<int> expected_ids = sharded->alive_ids();
-  // The snapshot is shard-count independent: reload as a single engine and
-  // as sharded engines of other counts, all bit-identical.
-  auto single = QueryEngine::Open(path);
-  ASSERT_TRUE(single.ok()) << single.status().ToString();
-  EXPECT_EQ(single->alive_ids(), expected_ids);
-  EXPECT_EQ(single->QueryBatch(*queries_, {.k = 6}), expected);
-  for (int shards : {2, 7}) {
+  // The snapshot is shard-count independent: reload as a single shard and
+  // as other shard counts, all bit-identical.
+  for (int shards : {1, 2, 7}) {
     auto reloaded = ShardedEngine::Open(path, Sharded(shards));
     ASSERT_TRUE(reloaded.ok());
     ScopedRole reloaded_writer(&reloaded->writer_role());
@@ -233,8 +223,7 @@ PersistedIndex TieHeavyIndex(int rows) {
 
 TEST(ShardedEngineTieTest, TieHeavyMergePreservesIdOrder) {
   const PersistedIndex index = TieHeavyIndex(40);
-  auto single = QueryEngine::FromIndex(index);
-  ASSERT_TRUE(single.ok());
+  const testing_util::LiveRows live = testing_util::LiveRowsOf(index);
   const std::vector<std::vector<uint8_t>> probes = {
       {1, 1, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 0}, {1, 1, 1, 1, 1, 1},
       {1, 0, 0, 0, 0, 1},
@@ -247,7 +236,7 @@ TEST(ShardedEngineTieTest, TieHeavyMergePreservesIdOrder) {
       for (const auto& probe : probes) {
         for (int k : {1, 5, 39, 40, 100}) {
           EXPECT_EQ(engine->QueryMapped(probe, {.k = k}),
-                    single->QueryMapped(probe, {.k = k}))
+                    testing_util::BruteForceTopK(probe, live, k))
               << "shards=" << shards << " threads=" << threads
               << " k=" << k;
         }
@@ -258,32 +247,30 @@ TEST(ShardedEngineTieTest, TieHeavyMergePreservesIdOrder) {
 
 TEST(ShardedEngineTieTest, KLargerThanAnyShardsLiveRows) {
   const PersistedIndex index = TieHeavyIndex(10);
-  auto single = QueryEngine::FromIndex(index);
-  ASSERT_TRUE(single.ok());
   // 7 shards over 10 rows: every shard holds 1-2 rows, far below k.
   auto engine = ShardedEngine::FromIndex(index, Sharded(7));
   ASSERT_TRUE(engine.ok());
   const std::vector<uint8_t> probe = {1, 0, 1, 0, 0, 0};
   for (int k : {8, 10, 50}) {
     const Ranking got = engine->QueryMapped(probe, {.k = k});
-    EXPECT_EQ(got, single->QueryMapped(probe, {.k = k})) << "k=" << k;
+    EXPECT_EQ(got, testing_util::BruteForceTopK(
+                       probe, testing_util::LiveRowsOf(index), k))
+        << "k=" << k;
     EXPECT_EQ(got.size(), std::min<size_t>(static_cast<size_t>(k), 10u));
   }
 }
 
 TEST(ShardedEngineTieTest, ShardsEmptiedByRemovalsStillMerge) {
   const PersistedIndex index = TieHeavyIndex(12);
-  auto single = QueryEngine::FromIndex(index);
+  testing_util::LiveRows live = testing_util::LiveRowsOf(index);
   auto engine = ShardedEngine::FromIndex(index, Sharded(4));
-  ASSERT_TRUE(single.ok());
   ASSERT_TRUE(engine.ok());
-  ScopedRole single_writer(&single->writer_role());
   ScopedRole engine_writer(&engine->writer_role());
   // Remove every id ≡ 1 and ≡ 2 (mod 4): shards 1 and 2 end up empty.
   for (int id = 0; id < 12; ++id) {
     if (id % 4 == 1 || id % 4 == 2) {
-      ASSERT_TRUE(single->Remove(id).ok());
       ASSERT_TRUE(engine->Remove(id).ok());
+      live.erase(id);
     }
   }
   EXPECT_EQ(engine->shard(1).num_graphs(), 0);
@@ -291,7 +278,7 @@ TEST(ShardedEngineTieTest, ShardsEmptiedByRemovalsStillMerge) {
   const std::vector<uint8_t> probe = {0, 1, 1, 0, 0, 0};
   for (int k : {3, 6, 12}) {
     EXPECT_EQ(engine->QueryMapped(probe, {.k = k}),
-              single->QueryMapped(probe, {.k = k}))
+              testing_util::BruteForceTopK(probe, live, k))
         << "k=" << k;
   }
 
@@ -341,7 +328,7 @@ TEST(ShardedEngineTieTest, EpochSumsShardMutationsAndFreezeIsStable) {
   const std::string from_frozen =
       ::testing::TempDir() + "/gdim_frozen_snap.idx2";
   ASSERT_TRUE(ShardedEngine::WriteSnapshot(frozen, from_frozen).ok());
-  auto reloaded = QueryEngine::Open(from_frozen);
+  auto reloaded = ShardedEngine::Open(from_frozen);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   std::vector<int> frozen_ids;
   for (const FrozenEngineState& shard : frozen.shards) {
@@ -360,7 +347,7 @@ TEST(ShardedEngineTieTest, EpochSumsShardMutationsAndFreezeIsStable) {
   }
 }
 
-TEST(ShardedEngineTieTest, ToPersistedIndexRoundTripsThroughSingleEngine) {
+TEST(ShardedEngineTieTest, ToPersistedIndexRoundTripsThroughOneShard) {
   const PersistedIndex index = TieHeavyIndex(12);
   auto engine = ShardedEngine::FromIndex(index, Sharded(3));
   ASSERT_TRUE(engine.ok());
@@ -369,7 +356,7 @@ TEST(ShardedEngineTieTest, ToPersistedIndexRoundTripsThroughSingleEngine) {
   const std::vector<uint8_t> row = {1, 1, 1, 0, 0, 0};
   ASSERT_TRUE(engine->InsertMapped(row).ok());
 
-  auto rebuilt = QueryEngine::FromIndex(engine->ToPersistedIndex());
+  auto rebuilt = ShardedEngine::FromIndex(engine->ToPersistedIndex());
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   EXPECT_EQ(rebuilt->alive_ids(), engine->alive_ids());
   const std::vector<uint8_t> probe = {1, 1, 0, 0, 0, 1};
@@ -379,36 +366,6 @@ TEST(ShardedEngineTieTest, ToPersistedIndexRoundTripsThroughSingleEngine) {
   }
 }
 
-
-/// Every sharded scan path against brute force: the tiled batch
-/// (QueryMappedBatch, 11 queries so every kernel's tile width leaves a
-/// remainder), the per-query scatter, and the IVF candidate path at
-/// NPROBE=all (which prunes nothing, so it must be exact too).
-void ExpectShardedMatchesBruteForce(
-    const ShardedEngine& engine,
-    const std::vector<std::vector<uint8_t>>& fingerprints,
-    const testing_util::LiveRows& live, const std::string& what) {
-  ASSERT_EQ(engine.num_graphs(), static_cast<int>(live.size())) << what;
-  for (const int k : testing_util::BoundaryKs(live)) {
-    const QueryOptions full{.k = k, .scan_mode = ScanMode::kFull};
-    const QueryOptions approx_all{.k = k, .scan_mode = ScanMode::kApprox,
-                                  .nprobe = kNprobeAll};
-    const std::vector<Ranking> batch =
-        engine.QueryMappedBatch(fingerprints, full);
-    const std::vector<Ranking> approx_batch =
-        engine.QueryMappedBatch(fingerprints, approx_all);
-    ASSERT_EQ(batch.size(), fingerprints.size());
-    for (size_t i = 0; i < fingerprints.size(); ++i) {
-      const Ranking expected =
-          testing_util::BruteForceTopK(fingerprints[i], live, k);
-      EXPECT_EQ(batch[i], expected) << what << " batch q=" << i << " k=" << k;
-      EXPECT_EQ(approx_batch[i], expected)
-          << what << " approx batch q=" << i << " k=" << k;
-      EXPECT_EQ(engine.QueryMapped(fingerprints[i], full), expected)
-          << what << " scatter q=" << i << " k=" << k;
-    }
-  }
-}
 
 // The fused scan + integer select under sharding: shards {1, 4} x threads
 // {1, 8}, on a tie-heavy corpus, through an empty delta, a live delta,
@@ -435,15 +392,15 @@ TEST(ShardedEngineTieTest, FusedScanMatchesBruteForceForShardsAndThreads) {
         for (int i = 0; i < 260; ++i) {
           live[i] = base_rows[static_cast<size_t>(i)];
         }
-        ExpectShardedMatchesBruteForce(engine, fingerprints, live,
-                                       at + " base");
+        ExpectEngineMatchesBruteForce(engine, fingerprints, live,
+                                      at + " base");
         for (const auto& row : delta_rows) {
           const Result<int> id = engine.InsertMapped(row);
           ASSERT_TRUE(id.ok());
           live[*id] = row;
         }
-        ExpectShardedMatchesBruteForce(engine, fingerprints, live,
-                                       at + " delta");
+        ExpectEngineMatchesBruteForce(engine, fingerprints, live,
+                                      at + " delta");
         const Ranking ranked =
             testing_util::BruteForceTopK(fingerprints[0], live, 10);
         for (const int pos : {4, 9}) {  // the 5th and 10th answers
@@ -451,17 +408,17 @@ TEST(ShardedEngineTieTest, FusedScanMatchesBruteForceForShardsAndThreads) {
           ASSERT_TRUE(engine.Remove(id).ok());
           live.erase(id);
         }
-        ExpectShardedMatchesBruteForce(engine, fingerprints, live,
-                                       at + " kth tombstones");
+        ExpectEngineMatchesBruteForce(engine, fingerprints, live,
+                                      at + " kth tombstones");
         engine.Compact();
-        ExpectShardedMatchesBruteForce(engine, fingerprints, live,
-                                       at + " compacted");
+        ExpectEngineMatchesBruteForce(engine, fingerprints, live,
+                                      at + " compacted");
         for (const auto& [id, bits] : live) {
           ASSERT_TRUE(engine.Remove(id).ok());
         }
         live.clear();
-        ExpectShardedMatchesBruteForce(engine, fingerprints, live,
-                                       at + " all removed");
+        ExpectEngineMatchesBruteForce(engine, fingerprints, live,
+                                      at + " all removed");
 
         auto empty = ShardedEngine::FromIndex(
             testing_util::LabelFeatureIndex(p, {}), Sharded(shards, threads));
@@ -472,8 +429,8 @@ TEST(ShardedEngineTieTest, FusedScanMatchesBruteForceForShardsAndThreads) {
           ASSERT_TRUE(id.ok());
           live[*id] = row;
         }
-        ExpectShardedMatchesBruteForce(*empty, fingerprints, live,
-                                       at + " delta only");
+        ExpectEngineMatchesBruteForce(*empty, fingerprints, live,
+                                      at + " delta only");
       }
     }
   }

@@ -2,16 +2,26 @@
 #define GDIM_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <gtest/gtest.h>
 #include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/random.h"
 #include "core/index_io.h"
+#include "core/mapper.h"
 #include "core/objective.h"
 #include "core/topk.h"
 #include "graph/graph.h"
+#include "graph/graph_io.h"
 #include "graph/graph_utils.h"
 #include "isomorphism/vf2.h"
+#include "server/sharded_engine.h"
 
 namespace gdim {
 namespace testing_util {
@@ -149,6 +159,112 @@ inline Ranking BruteForceTopK(const std::vector<uint8_t>& query,
   Ranking ranked = RankByScores(scores);
   for (RankedResult& r : ranked) r.id = ids[static_cast<size_t>(r.id)];
   return TopK(ranked, std::max(k, 0));
+}
+
+/// The live rows of a persisted index keyed by external id (positional ids
+/// when the index has none).
+inline LiveRows LiveRowsOf(const PersistedIndex& index) {
+  LiveRows live;
+  for (size_t i = 0; i < index.db_bits.size(); ++i) {
+    live[index.ids.empty() ? static_cast<int>(i) : index.ids[i]] =
+        index.db_bits[i];
+  }
+  return live;
+}
+
+/// BruteForceTopK for every query graph, fingerprinted by `mapper`.
+inline std::vector<Ranking> BruteForceBatch(const FeatureMapper& mapper,
+                                            const GraphDatabase& queries,
+                                            const LiveRows& live, int k) {
+  std::vector<Ranking> out;
+  out.reserve(queries.size());
+  for (const Graph& q : queries) {
+    out.push_back(BruteForceTopK(mapper.Map(q), live, k));
+  }
+  return out;
+}
+
+/// Every engine scan path against brute force: the tiled batch
+/// (QueryMappedBatch), the per-query scatter, and the IVF candidate path at
+/// NPROBE=all (which prunes nothing, so it must be exact too), at every
+/// BoundaryKs value. Pass a fingerprint count that is not a multiple of any
+/// kernel's tile width so the remainder tile runs.
+inline void ExpectEngineMatchesBruteForce(
+    const ShardedEngine& engine,
+    const std::vector<std::vector<uint8_t>>& fingerprints,
+    const LiveRows& live, const std::string& what) {
+  ASSERT_EQ(engine.num_graphs(), static_cast<int>(live.size())) << what;
+  for (const int k : BoundaryKs(live)) {
+    const QueryOptions full{.k = k, .scan_mode = ScanMode::kFull};
+    const QueryOptions approx_all{.k = k, .scan_mode = ScanMode::kApprox,
+                                  .nprobe = kNprobeAll};
+    const std::vector<Ranking> batch =
+        engine.QueryMappedBatch(fingerprints, full);
+    const std::vector<Ranking> approx_batch =
+        engine.QueryMappedBatch(fingerprints, approx_all);
+    ASSERT_EQ(batch.size(), fingerprints.size());
+    for (size_t i = 0; i < fingerprints.size(); ++i) {
+      const Ranking expected = BruteForceTopK(fingerprints[i], live, k);
+      EXPECT_EQ(batch[i], expected) << what << " batch q=" << i << " k=" << k;
+      EXPECT_EQ(approx_batch[i], expected)
+          << what << " approx batch q=" << i << " k=" << k;
+      EXPECT_EQ(engine.QueryMapped(fingerprints[i], full), expected)
+          << what << " scatter q=" << i << " k=" << k;
+    }
+  }
+}
+
+inline std::string Slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+inline void Spit(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out << bytes;
+}
+
+// Legacy index files for the v1/v2 reader tests. Only v3 is written by the
+// library, so the tests build the older formats themselves.
+
+/// The index as a "gdim-index v1" text file (v1 has no id block).
+inline std::string V1IndexText(const PersistedIndex& index) {
+  std::ostringstream out;
+  out << "gdim-index v1\nfeatures " << index.features.size() << "\n";
+  WriteGraphStream(index.features, out);
+  out << "vectors " << index.db_bits.size() << " " << index.features.size()
+      << "\n";
+  for (const auto& row : index.db_bits) {
+    for (const uint8_t b : row) out << (b != 0 ? '1' : '0');
+    out << "\n";
+  }
+  return out.str();
+}
+
+/// v2 ("GDIMIDX2") bytes from a DIMS-only v3 file: the DIMS payload is the
+/// v2 body verbatim, so only the fixed header changes.
+inline std::string V2BytesFromV3(const std::string& v3) {
+  GDIM_CHECK(v3.size() >= 28 && v3.compare(0, 8, "GDIMIDX3") == 0 &&
+             v3.compare(16, 4, "DIMS") == 0)
+      << "not a v3 file";
+  uint64_t dims_len = 0;
+  std::memcpy(&dims_len, v3.data() + 20, sizeof(dims_len));
+  GDIM_CHECK(28 + dims_len == v3.size()) << "not a DIMS-only v3 file";
+  const uint32_t version = 2;
+  return "GDIMIDX2" +
+         std::string(reinterpret_cast<const char*>(&version), 4) +
+         v3.substr(12, 4) +  // endianness tag
+         v3.substr(28);
+}
+
+/// Writes the index to path as a v2 file (ids and next_id included).
+inline void WriteV2IndexFile(const PersistedIndex& index,
+                             const std::string& path) {
+  const Status written = WriteIndexFile(index, path);
+  GDIM_CHECK(written.ok()) << written.ToString();
+  Spit(path, V2BytesFromV3(Slurp(path)));
 }
 
 }  // namespace testing_util

@@ -11,14 +11,16 @@
 //   gdim_tool bench-query --index=index.idx --queries=q.gdb [--repeat=R]
 //   gdim_tool update   --index=index.idx --out=index2.idx
 //                      [--insert=new.gdb --remove=3,17 --compact]
-//   gdim_tool convert  --in=index.idx --out=index.idx2 [--format=v2]
+//   gdim_tool convert  --in=old.idx --out=index.idx
 //   gdim_tool stats    --db=db.gdb
 //
 // All subcommands read/write the gSpan text format (`t # id / v / e` lines)
-// and the gdim-index formats (v1 text / v2 binary / v3 sectioned, see
-// core/index_io.h; readers auto-detect the version). serve-net restarted
-// from a v3 snapshot alone resumes the graph store, dimension generation,
-// epoch, and IVF layout — no --db needed.
+// and the gdim-index formats (see core/index_io.h): every reader accepts
+// v1 text, v2 binary and v3 sectioned files (auto-detected), and every
+// writer — build, update, convert — emits v3, the only format written.
+// serve-net restarted from a v3 snapshot alone resumes the graph store,
+// dimension generation, epoch, and IVF layout — no --db needed; update
+// carries all of them through.
 
 #include <algorithm>
 #include <cctype>
@@ -42,7 +44,6 @@
 #include "graph/graph_io.h"
 #include "graph/graph_utils.h"
 #include "mining/gspan.h"
-#include "serve/query_engine.h"
 #include "server/batch_executor.h"
 #include "server/net_server.h"
 #include "server/sharded_engine.h"
@@ -65,7 +66,7 @@ int Usage() {
       "[--queries=M --queries-out=FILE --seed=S]\n"
       "  mine     --db=FILE --out=FILE [--minsup=0.05 --maxedges=7]\n"
       "  build    --db=FILE --out=FILE [--selector=DSPM --p=100 "
-      "--minsup=0.05 --maxedges=7 --seed=S --format=v1|v2|v3]\n"
+      "--minsup=0.05 --maxedges=7 --seed=S]\n"
       "  query    --index=FILE --db=FILE --queries=FILE [--k=10]\n"
       "  serve    --index=FILE --queries=FILE [--k=10 --threads=N "
       "--shards=N --ivf-buckets=N --quiet]\n"
@@ -77,10 +78,22 @@ int Usage() {
       "  bench-query --index=FILE --queries=FILE [--k=10 --threads=N "
       "--shards=N --ivf-buckets=N --repeat=5]\n"
       "  update   --index=FILE --out=FILE [--insert=GRAPHS --remove=I,J,... "
-      "--compact --format=v1|v2|v3]\n"
-      "  convert  --in=FILE --out=FILE [--format=v1|v2|v3]\n"
-      "  stats    --db=FILE\n");
+      "--compact]\n"
+      "  convert  --in=FILE --out=FILE   (upgrade any index file to v3)\n"
+      "  stats    --db=FILE\n"
+      "index files are written as v3 only; v1/v2 files are still read\n");
   return 2;
+}
+
+/// True (after saying why) when a writer command was given --format: v3 is
+/// the only format written, and a silently ignored --format=v1 would hand
+/// back a file the caller did not ask for.
+bool FormatFlagGiven(const Flags& flags) {
+  if (!flags.Has("format")) return false;
+  std::fprintf(stderr,
+               "error: --format is not supported: v3 is the only index "
+               "format written (v1/v2 files are still read)\n");
+  return true;
 }
 
 /// Rejects a malformed --k at the tool boundary so one bad request cannot
@@ -177,7 +190,9 @@ int RunMine(const Flags& flags) {
 int RunBuild(const Flags& flags) {
   const std::string db_path = flags.GetString("db", "");
   const std::string out = flags.GetString("out", "");
-  if (db_path.empty() || out.empty()) return Usage();
+  if (db_path.empty() || out.empty() || FormatFlagGiven(flags)) {
+    return Usage();
+  }
   Result<GraphDatabase> db = ReadGraphFile(db_path);
   if (!db.ok()) return Fail(db.status());
   IndexOptions opts;
@@ -189,13 +204,10 @@ int RunBuild(const Flags& flags) {
   WallTimer timer;
   Result<GraphSearchIndex> index = GraphSearchIndex::Build(*db, opts);
   if (!index.ok()) return Fail(index.status());
-  Result<IndexFormat> format =
-      ParseIndexFormat(flags.GetString("format", "v1"));
-  if (!format.ok()) return Fail(format.status());
   PersistedIndex persisted;
   persisted.features = index->dimension();
   persisted.db_bits = index->mapped_database();
-  Status s = WriteIndexFile(persisted, out, *format);
+  Status s = WriteIndexFile(persisted, out);
   if (!s.ok()) return Fail(s);
   const IndexBuildStats& st = index->build_stats();
   std::printf("built %s index over %zu graphs in %.2fs "
@@ -362,14 +374,8 @@ Status ValidateDbAgainstEngine(const ShardedEngine& engine,
                                const GraphDatabase& db) {
   const int p = engine.num_features();
   if (p == 0 || db.empty()) return Status::OK();
-  std::vector<std::pair<int, const uint64_t*>> live;
-  live.reserve(db.size());
-  for (int s = 0; s < engine.num_shards(); ++s) {
-    const auto rows = engine.shard(s).LiveRowWords();
-    live.insert(live.end(), rows.begin(), rows.end());
-  }
-  std::sort(live.begin(), live.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const std::vector<std::pair<int, const uint64_t*>> live =
+      engine.LiveRowWords();
   const size_t sample =
       std::min<size_t>(live.size(), 25);
   for (size_t j = 0; j < sample; ++j) {
@@ -458,16 +464,17 @@ int RunServeNet(const Flags& flags) {
         "them)"));
   }
   if (!has_meta && (*reindex_every > 0 || !db_path.empty())) {
-    // A v2 snapshot taken after a REINDEX has no META section: the swapped
-    // generations are silently forgotten and this process reports
+    // A file without a META section (a `build` output, or a v1/v2 file
+    // taken after a REINDEX) cannot say which generation it holds: any
+    // swapped generations are forgotten and this process reports
     // dimension_generation=0 — clients comparing the gauge across the
     // restart would read that as "no reindex ever happened".
     std::fprintf(
         stderr,
-        "WARN: %s has no generation/epoch metadata (pre-v3 snapshot); "
+        "WARN: %s has no generation/epoch metadata (no META section); "
         "dimension_generation restarts at 0 and any pre-restart REINDEX "
         "history is lost. Take the next SNAPSHOT from this server to "
-        "upgrade to the v3 format.\n",
+        "record it.\n",
         index_path.c_str());
   }
 
@@ -592,14 +599,31 @@ Result<std::vector<int>> ParseRemoveIds(const std::string& spec) {
 int RunUpdate(const Flags& flags) {
   const std::string index_path = flags.GetString("index", "");
   const std::string out = flags.GetString("out", "");
-  if (index_path.empty() || out.empty()) return Usage();
-  Result<IndexFormat> format =
-      ParseIndexFormat(flags.GetString("format", "v2"));
-  if (!format.ok()) return Fail(format.status());
-  Result<QueryEngine> engine = QueryEngine::Open(index_path);
+  if (index_path.empty() || out.empty() || FormatFlagGiven(flags)) {
+    return Usage();
+  }
+  // Read packed, like serve-net, so every v3 section survives the update:
+  // META (generation, epoch) and IVFX through the engine, STOR through a
+  // graph store kept in lockstep with the engine's rows.
+  Result<PackedIndex> packed = ReadIndexFilePacked(index_path);
+  if (!packed.ok()) return Fail(packed.status());
+  std::optional<PersistedStore> snapshot_store = std::move(packed->store);
+  packed->store.reset();
+  Result<ShardedEngine> engine = ShardedEngine::FromPacked(std::move(*packed));
   if (!engine.ok()) return Fail(engine.status());
-  // This single-threaded command is the engine's writer.
+  // This single-threaded command is the engine's and the store's writer.
   ScopedRole writer(&engine->writer_role());
+  GraphStore store;
+  ScopedRole store_writer(&store.writer_role());
+  const bool has_store = snapshot_store.has_value();
+  if (has_store) {
+    // The reader matched the STOR ids to the index rows already.
+    for (size_t i = 0; i < snapshot_store->ids.size(); ++i) {
+      Status put = store.Put(snapshot_store->ids[i],
+                             std::move(snapshot_store->graphs[i]));
+      if (!put.ok()) return Fail(put);
+    }
+  }
 
   // Removes first, then inserts, so a freshly inserted graph can never be
   // swept up by the same command's --remove list.
@@ -609,6 +633,7 @@ int RunUpdate(const Flags& flags) {
     if (!ids.ok()) return Fail(ids.status());
     for (int id : *ids) {
       Status s = engine->Remove(id);
+      if (s.ok() && has_store) s = store.Remove(id);
       if (!s.ok()) return Fail(s);
       ++removed;
     }
@@ -620,9 +645,13 @@ int RunUpdate(const Flags& flags) {
         ReadGraphFile(flags.GetString("insert", ""));
     if (!graphs.ok()) return Fail(graphs.status());
     WallTimer timer;
-    for (const Graph& g : *graphs) {
+    for (Graph& g : *graphs) {
       Result<int> id = engine->Insert(g);
       if (!id.ok()) return Fail(id.status());
+      if (has_store) {
+        Status put = store.Put(*id, std::move(g));
+        if (!put.ok()) return Fail(put);
+      }
       if (first_id < 0) first_id = *id;
       last_id = *id;
       ++inserted;
@@ -638,38 +667,40 @@ int RunUpdate(const Flags& flags) {
     const int reclaimed = engine->tombstoned_rows();
     engine->Compact();
     std::printf("compacted: reclaimed %d rows, %d live rows sealed\n",
-                reclaimed, engine->base_rows());
+                reclaimed, engine->physical_rows());
   }
-  Status s = engine->Snapshot(out, *format);
+  FrozenShardedState frozen = engine->Freeze();
+  if (has_store) frozen.store = store.Freeze();
+  Status s = ShardedEngine::WriteSnapshot(frozen, out);
   if (!s.ok()) return Fail(s);
   std::printf(
       "updated %s: +%zu -%zu -> %d live graphs x %d dims "
-      "(base %d + delta %d rows, %d tombstoned) -> %s\n",
+      "(%d physical rows, %d tombstoned, generation %llu%s) -> %s\n",
       index_path.c_str(), inserted, removed, engine->num_graphs(),
-      engine->num_features(), engine->base_rows(), engine->delta_rows(),
-      engine->tombstoned_rows(), out.c_str());
+      engine->num_features(), engine->physical_rows(),
+      engine->tombstoned_rows(),
+      static_cast<unsigned long long>(engine->generation()),
+      has_store ? ", graph store kept" : "", out.c_str());
   return 0;
 }
 
 int RunConvert(const Flags& flags) {
   const std::string in = flags.GetString("in", "");
   const std::string out = flags.GetString("out", "");
-  if (in.empty() || out.empty()) return Usage();
-  Result<IndexFormat> format =
-      ParseIndexFormat(flags.GetString("format", "v2"));
-  if (!format.ok()) return Fail(format.status());
+  if (in.empty() || out.empty() || FormatFlagGiven(flags)) return Usage();
   WallTimer timer;
-  Result<PersistedIndex> index = ReadIndexFile(in);
+  // The packed read keeps every v3 section, so converting a v3 file is a
+  // byte-identical copy and a v1/v2 file becomes a DIMS-only v3 file.
+  Result<PackedIndex> index = ReadIndexFilePacked(in);
   if (!index.ok()) return Fail(index.status());
-  Status s = WriteIndexFile(*index, out, *format);
+  Status s = WritePackedIndexFile(*index, out);
   if (!s.ok()) return Fail(s);
-  std::printf("converted %s -> %s (%s, %zu graphs x %zu dims) in %.2fs\n",
-              in.c_str(), out.c_str(),
-              *format == IndexFormat::kV3Sectioned ? "v3 sectioned"
-              : *format == IndexFormat::kV2Binary  ? "v2 binary"
-                                                   : "v1 text",
-              index->db_bits.size(), index->features.size(),
-              timer.Seconds());
+  std::printf(
+      "converted %s -> %s (v3: DIMS%s%s%s, %d graphs x %zu dims) in %.2fs\n",
+      in.c_str(), out.c_str(), index->meta.has_value() ? "+META" : "",
+      index->store.has_value() ? "+STOR" : "",
+      index->ivf.has_value() ? "+IVFX" : "", index->rows.num_rows(),
+      index->features.size(), timer.Seconds());
   return 0;
 }
 

@@ -11,8 +11,15 @@
 #   - QUERY answers — MODE=full and MODE=approx NPROBE=all — are
 #     byte-identical to the pre-kill responses,
 #   - REINDEX still works, fed by the snapshot's own store section,
-#   - the restart log carries no degraded-format WARN (the v1 cold start
-#     in step 1 does WARN — the loud/quiet pair is asserted both ways).
+#   - the restart log carries no missing-metadata WARN (the cold start in
+#     step 1, from a META-less `build` output, does WARN — the loud/quiet
+#     pair is asserted both ways).
+#
+# Then the same snapshot goes through an offline `gdim_tool update`
+# (--remove + --insert) and a third server starts from the result, again
+# without --db: the dimension generation must be unchanged, REINDEX must
+# still answer OK (update kept the store section in lockstep), and the log
+# must carry no WARN.
 #
 # Usage: tools/restart_smoke.sh [build-dir]   (default: build)
 
@@ -120,6 +127,13 @@ if mode == "pre":
         out.write(kv["dimension_generation"] + "\n" + kv["epoch"] + "\n")
         for q in probes:
             out.write(req(q) + "\n")
+elif mode == "updated":
+    want = open(state).read().splitlines()
+    kv = stats()
+    assert kv["dimension_generation"] == want[0], (
+        f"generation lost by update: {kv['"'"'dimension_generation'"'"']} != {want[0]}")
+    r = req("REINDEX")
+    assert "generation=3" in r, r
 else:
     want = open(state).read().splitlines()
     kv = stats()
@@ -148,8 +162,8 @@ start_server "$TMP/serve1.log" --index="$TMP/index.idx" \
   --shards=3 --cache-mb=16 --db="$TMP/db.gdb" \
   --reindex-minsup=0.15 --reindex-maxedges=4
 KILL_PID=$SERVER_PID
-# A meta-less index plus reindex-capable flags is the degraded shape: the
-# server must say so out loud.
+# A meta-less index (a fresh build) plus reindex-capable flags is the
+# degraded shape: the server must say so out loud.
 grep -q 'WARN: .*no generation/epoch metadata' "$TMP/serve1.log"
 
 python3 -c "$CLIENT" pre "$SERVER_PORT" "$TMP/q.gdb" "$TMP/pre.txt" \
@@ -164,12 +178,24 @@ echo "restart_smoke: restarting from the snapshot alone (no --db)"
 start_server "$TMP/serve2.log" --index="$TMP/snap.idx2" \
   --shards=3 --cache-mb=16
 # The v3 restart restores everything; any WARN here is a regression.
-if grep -q 'WARN' "$TMP/serve2.log"; then
-  echo "restart_smoke: unexpected WARN on v3 restart" >&2
-  cat "$TMP/serve2.log" >&2
-  exit 1
-fi
+assert_no_warn() {
+  if grep -q 'WARN' "$1"; then
+    echo "restart_smoke: unexpected WARN on v3 restart" >&2
+    cat "$1" >&2
+    exit 1
+  fi
+}
+assert_no_warn "$TMP/serve2.log"
 
 python3 -c "$CLIENT" post "$SERVER_PORT" "$TMP/q.gdb" "$TMP/pre.txt"
+kill "$SERVER_PID"
+
+echo "restart_smoke: updating the snapshot offline, restarting from it (no --db)"
+"$TOOL" update --index="$TMP/snap.idx2" --remove=2,3 --insert="$TMP/q.gdb" \
+  --out="$TMP/updated.idx"
+start_server "$TMP/serve3.log" --index="$TMP/updated.idx" \
+  --shards=3 --cache-mb=16
+assert_no_warn "$TMP/serve3.log"
+python3 -c "$CLIENT" updated "$SERVER_PORT" "$TMP/q.gdb" "$TMP/pre.txt"
 
 echo "restart_smoke: OK"
