@@ -266,8 +266,6 @@ Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
   const int k = std::max(options.k, 0);
   WallTimer timer;
 
-  int features_on = 0;
-  for (uint8_t b : fingerprint) features_on += b != 0 ? 1 : 0;
   const std::vector<uint64_t> packed_query = base_->PackQuery(fingerprint);
 
   // Stage 2 runs only under MODE=approx: the IVF probe collects the live
@@ -299,7 +297,6 @@ Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
 
   if (stats != nullptr) {
     stats->latency_ms = timer.Millis();
-    stats->features_on = features_on;
     stats->scanned = scanned;
     stats->approx = approx;
     stats->rows_pruned = approx ? alive_ - scanned : 0;
@@ -317,7 +314,6 @@ void FillServeBatchReport(double wall_ms,
                     : 0.0;
   std::vector<double> latencies;
   latencies.reserve(stats.size());
-  report->scanned_rows = 0;
   report->approx_queries = 0;
   report->approx_candidates_scanned = 0;
   report->approx_rows_pruned = 0;
@@ -326,7 +322,6 @@ void FillServeBatchReport(double wall_ms,
   report->stage_gather_usec.clear();
   for (const ServeQueryStats& s : stats) {
     latencies.push_back(s.latency_ms);
-    report->scanned_rows += s.scanned;
     if (s.approx) {
       ++report->approx_queries;
       report->approx_candidates_scanned += s.scanned;
@@ -369,9 +364,6 @@ std::vector<Ranking> QueryEngine::QueryMappedTile(
     for (int q = 0; q < count; ++q) {
       ServeQueryStats& s = (*stats)[static_cast<size_t>(q)];
       s.latency_ms = tile_ms;
-      int features_on = 0;
-      for (uint8_t b : fingerprints[q]) features_on += b != 0 ? 1 : 0;
-      s.features_on = features_on;
       s.scanned = total_rows();
     }
   }

@@ -36,7 +36,6 @@ struct ServeOptions {
 /// Per-query observability counters from one hot-path execution.
 struct ServeQueryStats {
   double latency_ms = 0.0;
-  int features_on = 0;     ///< set bits in the query fingerprint
   int scanned = 0;         ///< rows scored in stage 3; the full-scan path
                            ///< scores every physical row, so removed-but-not-
                            ///< compacted rows count until Compact()
@@ -62,10 +61,9 @@ struct ServeBatchReport {
   double wall_ms = 0.0;          ///< end-to-end batch wall time
   double qps = 0.0;              ///< queries / wall second
   LatencySummary latency_ms;     ///< per-query latency distribution
-  long long scanned_rows = 0;    ///< total rows scored across the batch
   size_t approx_queries = 0;     ///< queries served from the IVF path
-  /// Candidate rows exact-scored by approx queries (their share of
-  /// scanned_rows) and the live rows their probes pruned away.
+  /// Candidate rows exact-scored by approx queries and the live rows their
+  /// probes pruned away.
   long long approx_candidates_scanned = 0;
   long long approx_rows_pruned = 0;
   /// Per-stage samples (microseconds) for the metric registry: every

@@ -4,11 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <ctime>
-#include <iterator>
 #include <memory>
 #include <system_error>
 #include <utility>
 
+#include "common/histogram.h"
 #include "common/logging.h"
 #include "core/kernels/scan_kernel.h"
 
@@ -36,12 +36,10 @@ BatchExecutor::BatchExecutor(ShardedEngine* engine,
       << "queue_capacity must be >= 1, got " << options_.queue_capacity;
   GDIM_CHECK(options_.max_batch >= 1)
       << "max_batch must be >= 1, got " << options_.max_batch;
-  GDIM_CHECK(options_.latency_window >= 1);
   GDIM_CHECK(options_.reindex_every >= 0);
   GDIM_CHECK(options_.reindex_every == 0 || options_.store != nullptr)
       << "reindex_every needs a live graph store";
   store_ = options_.store;
-  latency_window_.resize(static_cast<size_t>(options_.latency_window), 0.0);
   if (options_.cache_bytes > 0) {
     cache_ = std::make_unique<ResultCache>(options_.cache_bytes);
   }
@@ -85,6 +83,26 @@ BatchExecutor::BatchExecutor(ShardedEngine* engine,
   g_start_epoch_ = registry_.GetGauge(
       "gdim_start_epoch_seconds",
       "Executor start time as a Unix epoch, seconds");
+  g_graphs_ = registry_.GetGauge("gdim_engine_graphs",
+                                 "Live graphs across all shards");
+  g_shards_ = registry_.GetGauge("gdim_engine_shards", "Engine shards");
+  g_features_ = registry_.GetGauge("gdim_engine_features",
+                                   "Feature dimension p of the generation");
+  g_physical_rows_ = registry_.GetGauge(
+      "gdim_engine_physical_rows",
+      "Base + delta rows across all shards (what a full scan scores)");
+  g_tombstones_ = registry_.GetGauge(
+      "gdim_engine_tombstones", "Removed-but-uncompacted rows, all shards");
+  g_epoch_ = registry_.GetGauge("gdim_engine_epoch",
+                                "Engine mutation epoch");
+  g_generation_ = registry_.GetGauge(
+      "gdim_engine_dimension_generation",
+      "Dimension generation: 0 at load, +1 per adopted reindex");
+  g_ivf_buckets_ = registry_.GetGauge(
+      "gdim_engine_ivf_buckets", "IVF centroid buckets across all shards");
+  h_request_ = registry_.GetHistogram(
+      "gdim_request_usec",
+      "Client request latency, submit to completion (usec)");
   const std::string kernel_label =
       std::string("kernel=\"") + ActiveScanKernel().name() + "\"";
   h_admission_wait_ = registry_.GetStageHistogram(
@@ -115,8 +133,8 @@ BatchExecutor::BatchExecutor(ShardedEngine* engine,
                           "handoff to finished generation (usec)");
   h_reindex_swap_ = registry_.GetStageHistogram(
       kStageReindexSwap, "REINDEX reconcile + generation swap (usec)");
-  start_epoch_ = static_cast<long long>(std::time(nullptr));
-  g_start_epoch_->Set(start_epoch_);
+  g_start_epoch_->Set(static_cast<int64_t>(std::time(nullptr)));
+  PublishEngineMetrics();
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
@@ -147,8 +165,16 @@ Status BatchExecutor::Admit(Request r) {
         std::to_string(options_.queue_capacity) + " in flight)");
   }
   c_accepted_->Increment();
+  Enqueue(std::move(r));
+  return Status::OK();
+}
+
+void BatchExecutor::Enqueue(Request r) {
   ++in_flight_;
-  if (in_flight_ > queue_high_watermark_) queue_high_watermark_ = in_flight_;
+  const int64_t depth = static_cast<int64_t>(in_flight_);
+  if (depth > g_queue_high_watermark_->value()) {
+    g_queue_high_watermark_->Set(depth);
+  }
   queue_.push_back(std::move(r));
   // Notify while still holding mu_: once this submitter releases the lock
   // it may never run again, and the executor may be destroyed the moment
@@ -156,7 +182,6 @@ Status BatchExecutor::Admit(Request r) {
   // condition variable. Holding the lock orders the notify strictly before
   // any destruction (the destructor's first step takes mu_).
   cv_.NotifyOne();
-  return Status::OK();
 }
 
 Result<Ranking> BatchExecutor::Query(Graph query,
@@ -226,57 +251,73 @@ Status BatchExecutor::Snapshot(std::string path) {
   return done.get();
 }
 
-Result<EngineGauges> BatchExecutor::Gauges() {
-  Request r;
-  r.kind = Request::Kind::kGauges;
-  std::future<Result<EngineGauges>> done = r.gauges.get_future();
-  Status admitted = Admit(std::move(r));
-  if (!admitted.ok()) return admitted;
-  return done.get();
+void BatchExecutor::PublishEngineMetrics() {
+  g_graphs_->Set(engine_->num_graphs());
+  g_shards_->Set(engine_->num_shards());
+  g_features_->Set(engine_->num_features());
+  g_physical_rows_->Set(engine_->physical_rows());
+  g_tombstones_->Set(engine_->tombstoned_rows());
+  g_epoch_->Set(static_cast<int64_t>(engine_->epoch()));
+  g_generation_->Set(static_cast<int64_t>(engine_->generation()));
+  g_ivf_buckets_->Set(engine_->ivf_buckets());
 }
 
-BatchExecutorStats BatchExecutor::Stats() const {
-  MutexLock lock(&mu_);
-  BatchExecutorStats stats;
-  // The cells are atomics, but every writer updates them while holding mu_
-  // (see the member comment), so this snapshot under mu_ is as mutually
-  // consistent as the old plain-field one.
-  stats.accepted = c_accepted_->value();
-  stats.rejected = c_rejected_->value();
-  stats.completed = c_completed_->value();
-  stats.batches = c_batches_->value();
-  stats.mutations = c_mutations_->value();
-  stats.queued = in_flight_;
-  stats.queue_high_watermark = queue_high_watermark_;
-  stats.uptime_seconds = uptime_.Seconds();
-  stats.start_epoch = start_epoch_;
-  stats.approx_queries = c_approx_queries_->value();
-  stats.approx_candidates_scanned = c_approx_candidates_scanned_->value();
-  stats.approx_rows_pruned = c_approx_rows_pruned_->value();
-  stats.snapshots_in_progress = snapshots_in_progress_;
-  stats.snapshots_completed = c_snapshots_completed_->value();
-  stats.reindexes_in_progress = reindex_in_flight_ ? 1 : 0;
-  stats.reindexes_completed = c_reindexes_completed_->value();
-  if (cache_ != nullptr) stats.cache = cache_->Stats();
-  std::vector<double> window(
-      latency_window_.begin(),
-      latency_full_ ? latency_window_.end()
-                    : latency_window_.begin() +
-                          static_cast<std::ptrdiff_t>(latency_next_));
-  stats.latency_ms = SummarizeLatencies(std::move(window));
-  return stats;
+void BatchExecutor::SampleProcessMetrics() {
+  g_queue_depth_->Set(static_cast<int64_t>(in_flight_));
+  g_uptime_seconds_->Set(
+      static_cast<int64_t>(std::llround(uptime_.Seconds())));
 }
 
 std::string BatchExecutor::MetricsText() {
   {
     MutexLock lock(&mu_);
-    g_queue_depth_->Set(static_cast<int64_t>(in_flight_));
-    g_queue_high_watermark_->Set(
-        static_cast<int64_t>(queue_high_watermark_));
+    SampleProcessMetrics();
   }
-  g_uptime_seconds_->Set(
-      static_cast<int64_t>(std::llround(uptime_.Seconds())));
   return registry_.ExpositionText();
+}
+
+std::string BatchExecutor::StatsText() {
+  const ResultCacheStats cache =
+      cache_ != nullptr ? cache_->Stats() : ResultCacheStats{};
+  const auto u = [](const MetricCounter* c) {
+    return static_cast<unsigned long long>(c->value());
+  };
+  const auto g = [](const MetricGauge* c) {
+    return static_cast<long long>(c->value());
+  };
+  MutexLock lock(&mu_);
+  SampleProcessMetrics();
+  const BucketHistogram latency = h_request_->Snapshot();
+  char out[2048];
+  std::snprintf(
+      out, sizeof(out),
+      "OK graphs=%lld shards=%lld features=%lld physical_rows=%lld "
+      "tombstones=%lld accepted=%llu rejected=%llu "
+      "completed=%llu batches=%llu mutations=%llu queued=%lld "
+      "queue_depth=%lld queue_high_watermark=%lld "
+      "p50_ms=%.3f p99_ms=%.3f epoch=%lld cache_hits=%llu "
+      "cache_misses=%llu cache_evictions=%llu cache_entries=%zu "
+      "cache_bytes=%zu snapshots_in_progress=%llu "
+      "snapshots_completed=%llu dimension_generation=%lld "
+      "reindex_in_progress=%d reindex_completed=%llu "
+      "approx_queries=%llu approx_candidates_scanned=%llu "
+      "approx_rows_pruned=%llu ivf_buckets=%lld kernel=%s "
+      "uptime_seconds=%lld start_epoch=%lld",
+      g(g_graphs_), g(g_shards_), g(g_features_), g(g_physical_rows_),
+      g(g_tombstones_), u(c_accepted_), u(c_rejected_), u(c_completed_),
+      u(c_batches_), u(c_mutations_), g(g_queue_depth_), g(g_queue_depth_),
+      g(g_queue_high_watermark_), latency.Quantile(0.50) / 1000.0,
+      latency.Quantile(0.99) / 1000.0, g(g_epoch_),
+      static_cast<unsigned long long>(cache.hits),
+      static_cast<unsigned long long>(cache.misses),
+      static_cast<unsigned long long>(cache.evictions), cache.entries,
+      cache.bytes, static_cast<unsigned long long>(snapshots_in_progress_),
+      u(c_snapshots_completed_), g(g_generation_),
+      reindex_in_flight_ ? 1 : 0, u(c_reindexes_completed_),
+      u(c_approx_queries_), u(c_approx_candidates_scanned_),
+      u(c_approx_rows_pruned_), g(g_ivf_buckets_), ActiveScanKernel().name(),
+      g(g_uptime_seconds_), g(g_start_epoch_));
+  return out;
 }
 
 void BatchExecutor::Pause() {
@@ -327,7 +368,7 @@ void BatchExecutor::DispatcherLoop() {
       MutexLock lock(&mu_);
       // Counters are published BEFORE the submitters are released, so a
       // client that just got its answer always sees itself completed in
-      // Stats() (and the STATS verb never under-reports). The internal
+      // STATS (which never under-reports). The internal
       // generation-adoption step is invisible to the client-facing
       // accepted/completed/latency numbers (its admission skipped accepted_
       // too) — a reindex must not fabricate a phantom request in the STATS
@@ -335,18 +376,13 @@ void BatchExecutor::DispatcherLoop() {
       const bool internal =
           batch.front().kind == Request::Kind::kAdoptGeneration;
       if (!internal) {
-        for (const Request& r : batch) {
-          latency_window_[latency_next_] = r.queued_at.Millis();
-          latency_next_ = (latency_next_ + 1) % latency_window_.size();
-          if (latency_next_ == 0) latency_full_ = true;
-        }
+        for (const Request& r : batch) h_request_->Record(r.queued_at.Micros());
         c_completed_->Increment(batch.size());
       }
       in_flight_ -= batch.size();
       if (batch.front().kind == Request::Kind::kQuery) {
         c_batches_->Increment();
-      } else if (batch.front().kind != Request::Kind::kGauges &&
-                 batch.front().kind != Request::Kind::kReindex &&
+      } else if (batch.front().kind != Request::Kind::kReindex &&
                  batch.front().kind != Request::Kind::kAdoptGeneration) {
         // Reindex traffic has its own gauges (reindex_in_progress /
         // reindex_completed); counting it as a mutation would skew the
@@ -445,6 +481,9 @@ std::vector<std::function<void()>> BatchExecutor::Execute(
         WallTimer swap_timer;
         Result<ReindexReport> outcome = InstallGeneration(r.built.get());
         h_reindex_swap_->Record(swap_timer.Micros());
+        // Publish the new generation before the in-progress flag drops, so
+        // no STATS shows a finished reindex next to the old generation.
+        PublishEngineMetrics();
         {
           MutexLock lock(&mu_);
           reindex_in_flight_ = false;
@@ -461,7 +500,7 @@ std::vector<std::function<void()>> BatchExecutor::Execute(
         // a background thread spawned from the fulfill closure, so the
         // handoff happens after the dispatcher publishes this request's
         // completion counters; the submitter's promise travels with it and
-        // resolves only once the file is durable.
+        // resolves only once the file is written.
         WallTimer freeze_timer;
         auto frozen =
             std::make_shared<FrozenShardedState>(engine_->Freeze());
@@ -479,22 +518,13 @@ std::vector<std::function<void()>> BatchExecutor::Execute(
         });
         break;
       }
-      case Request::Kind::kGauges: {
-        EngineGauges gauges;
-        gauges.graphs = engine_->num_graphs();
-        gauges.shards = engine_->num_shards();
-        gauges.features = engine_->num_features();
-        gauges.epoch = engine_->epoch();
-        gauges.physical_rows = engine_->physical_rows();
-        gauges.tombstones = engine_->tombstoned_rows();
-        gauges.generation = engine_->generation();
-        gauges.ivf_buckets = engine_->ivf_buckets();
-        fulfill.push_back([&r, gauges] { r.gauges.set_value(gauges); });
-        break;
-      }
       case Request::Kind::kQuery:
         break;  // unreachable
     }
+    // Every engine-state change lands here, before its promise resolves.
+    // Snapshot and reindex start leave the engine as it was; republishing
+    // after them too is cheaper than telling them apart.
+    PublishEngineMetrics();
     return fulfill;
   }
   // Coalesced query run: one stage-1 mapping pass over the whole run
@@ -593,17 +623,11 @@ std::vector<std::function<void()>> BatchExecutor::Execute(
     }
     for (double v : span_report.stage_ivf_probe_usec) h_ivf_probe_->Record(v);
     for (double v : span_report.stage_gather_usec) h_gather_merge_->Record(v);
-    if (span_report.approx_queries > 0) {
-      // Publish the approx scan-work counters as this span lands. Execute
-      // EXCLUDES mu_, so take it briefly — same shape as kAdoptGeneration's
-      // in-Execute accounting.
-      MutexLock lock(&mu_);
-      c_approx_queries_->Increment(span_report.approx_queries);
-      c_approx_candidates_scanned_->Increment(
-          static_cast<uint64_t>(span_report.approx_candidates_scanned));
-      c_approx_rows_pruned_->Increment(
-          static_cast<uint64_t>(span_report.approx_rows_pruned));
-    }
+    c_approx_queries_->Increment(span_report.approx_queries);
+    c_approx_candidates_scanned_->Increment(
+        static_cast<uint64_t>(span_report.approx_candidates_scanned));
+    c_approx_rows_pruned_->Increment(
+        static_cast<uint64_t>(span_report.approx_rows_pruned));
     for (size_t j = begin; j < end; ++j) {
       const size_t i = misses[j];
       span_usec[i] = scan_usec;
@@ -665,12 +689,7 @@ void BatchExecutor::AdmitInternal(Request r) {
     if (!stop_) {
       // in_flight_ must balance the dispatcher's decrement, but accepted
       // stays client-only — the adopt step is bookkeeping, not a request.
-      ++in_flight_;
-      if (in_flight_ > queue_high_watermark_) {
-        queue_high_watermark_ = in_flight_;
-      }
-      queue_.push_back(std::move(r));
-      cv_.NotifyOne();  // under mu_, same lifetime reasoning as Admit
+      Enqueue(std::move(r));
       return;
     }
     // The dispatcher is gone; nobody will ever install this generation.

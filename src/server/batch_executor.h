@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/status.h"
 #include "common/sync.h"
 #include "common/timer.h"
@@ -36,10 +35,6 @@ struct BatchExecutorOptions {
 
   /// Max queries coalesced into one packed multi-query scan. Must be >= 1.
   int max_batch = 64;
-
-  /// Size of the sliding window of completed-request latencies kept for
-  /// Stats(); bounds executor memory regardless of uptime.
-  int latency_window = 4096;
 
   /// Byte budget of the epoch-versioned query result cache consulted before
   /// every scatter (see server/result_cache.h). 0 disables caching. Hits
@@ -85,62 +80,6 @@ struct ReindexReport {
   /// therefore VF2-mapped onto the new dimension at swap time (the frozen
   /// majority is re-fingerprinted from mined supports, VF2-free).
   int remapped = 0;
-};
-
-/// Engine gauges sampled on the dispatcher thread — the only thread that
-/// mutates the engine — so a snapshot of a mutating engine is race-free.
-struct EngineGauges {
-  int graphs = 0;    ///< live graphs across all shards
-  int shards = 0;
-  int features = 0;   ///< feature dimension p
-  uint64_t epoch = 0;  ///< engine mutation epoch (see ShardedEngine::epoch)
-  /// Physical rows (base + delta, all shards): what a full scan scores.
-  /// physical_rows - tombstones == graphs; Compact() closes the gap.
-  int physical_rows = 0;
-  int tombstones = 0;  ///< removed-but-uncompacted rows across all shards
-  /// Dimension generation: 0 at load, +1 per adopted reindex.
-  uint64_t generation = 0;
-  /// IVF candidate-pruning buckets across all shards (MODE=approx probes
-  /// these); rebuilt by every generation swap.
-  int ivf_buckets = 0;
-};
-
-/// Counters snapshot for observability (the STATS wire verb).
-struct BatchExecutorStats {
-  uint64_t accepted = 0;    ///< requests admitted past the queue bound
-  uint64_t rejected = 0;    ///< submits refused with ResourceExhausted
-  uint64_t completed = 0;   ///< requests finished (any outcome)
-  uint64_t batches = 0;     ///< coalesced query batches executed
-  uint64_t mutations = 0;   ///< insert/remove/snapshot ops executed
-  size_t queued = 0;        ///< admitted requests not yet finished
-  /// Snapshots frozen but not yet fully written by a background thread.
-  uint64_t snapshots_in_progress = 0;
-  uint64_t snapshots_completed = 0;  ///< background snapshot writes finished
-  /// 1 while a dimension refresh is running (freeze → selection →
-  /// swap), else 0; at most one runs at a time.
-  uint64_t reindexes_in_progress = 0;
-  uint64_t reindexes_completed = 0;  ///< generations successfully swapped in
-  /// MODE=approx counters, accumulated from the per-span batch reports the
-  /// engine fills (exactly like a shard sums per-query stats). Cache hits
-  /// for approx queries do not re-count: the counters measure scan work
-  /// actually done, matching how `batches` counts executed scans.
-  uint64_t approx_queries = 0;  ///< approx queries that reached a scan
-  uint64_t approx_candidates_scanned = 0;  ///< rows the probes admitted
-  uint64_t approx_rows_pruned = 0;  ///< live rows the probes skipped
-  /// Result-cache counters (all zero when the cache is disabled); see
-  /// ResultCacheStats for field semantics.
-  ResultCacheStats cache;
-  /// Process-health gauges: executor uptime, its start time as a Unix
-  /// epoch (seconds), and the admission queue's high watermark (the
-  /// largest in_flight ever observed — `queued` is the current depth).
-  double uptime_seconds = 0.0;
-  long long start_epoch = 0;
-  size_t queue_high_watermark = 0;
-  /// Distribution over the latency window (submit → completion, ms). A
-  /// snapshot request's latency covers admission through freeze + handoff —
-  /// the background write is excluded by design (it no longer occupies the
-  /// executor).
-  LatencySummary latency_ms;
 };
 
 /// Funnels every engine access — concurrent top-k queries from many
@@ -232,34 +171,26 @@ class BatchExecutor {
   /// without stalling the dispatcher for the write. The dispatcher freezes
   /// the engine in a bounded pause (sealed bases cloned by refcount, only
   /// the small delta/tombstone/id state copied) and a background thread
-  /// streams the v2 file; queries and mutations keep flowing meanwhile. The
-  /// call still blocks *its own* submitter until the file is durable, and
+  /// streams the v3 file; queries and mutations keep flowing meanwhile. The
+  /// call still blocks *its own* submitter until the file is written, and
   /// the file holds exactly the live set at the epoch the request was
   /// dispatched (mutations admitted after it are excluded — FIFO order).
   Status Snapshot(std::string path);
 
-  /// Counter + latency snapshot. The executor counters are read under the
-  /// same lock that publishes them — one mutually consistent snapshot in
-  /// which accepted == completed + rejected-free in-flight, and a request
-  /// whose submitter has been released is always counted completed (the
-  /// dispatcher publishes completion before fulfilling promises). The
-  /// nested cache counters are snapshotted under the cache's own lock:
-  /// internally consistent, but taken at a slightly different instant.
-  BatchExecutorStats Stats() const GDIM_EXCLUDES(mu_);
-
-  /// Samples engine gauges through the request queue (FIFO with mutations);
-  /// subject to the same admission bound as every other request.
-  Result<EngineGauges> Gauges();
-
-  /// The metric registry behind METRICS: per-stage latency histograms plus
-  /// the request counters, all written at the same program points the old
-  /// mu_-guarded counters were. Safe from any thread.
+  /// The metric registry behind METRICS and STATS. Safe from any thread.
   MetricRegistry& metrics() { return registry_; }
 
-  /// Refreshes the process gauges (queue depth / high watermark / uptime)
-  /// and renders the Prometheus text exposition — the METRICS verb's body.
-  /// No terminator line; the wire layer appends `# EOF`.
+  /// Samples the process gauges (queue depth, uptime) and renders the
+  /// Prometheus text exposition — the METRICS verb's body. No terminator
+  /// line; the wire layer appends `# EOF`.
   std::string MetricsText() GDIM_EXCLUDES(mu_);
+
+  /// The STATS verb's `OK key=value ...` line, rendered from the registry
+  /// (plus the in-progress flags and the result cache's counters). Reads
+  /// the request counters under the lock that publishes them, so a released
+  /// submitter is always counted completed. Never queued: never load-shed,
+  /// never counts itself.
+  std::string StatsText() GDIM_EXCLUDES(mu_);
 
   /// Test/drain hook: Pause() makes the dispatcher hold admitted requests
   /// unexecuted (admission and rejection still work — this is how the
@@ -278,7 +209,6 @@ class BatchExecutor {
       kRemove,
       kCompact,
       kSnapshot,
-      kGauges,
       kReindex,
       /// Internal: a finished background refresh coming home for
       /// installation on the dispatcher. Never submitted by clients;
@@ -309,12 +239,14 @@ class BatchExecutor {
     /// the refresh thread and back with the adopt request, resolving only
     /// when the swap lands (or the refresh fails).
     std::promise<Result<ReindexReport>> reindexed;  // kReindex, kAdopt...
-    std::promise<Result<EngineGauges>> gauges;  // kGauges
   };
 
   /// Admits r or rejects with ResourceExhausted (queue at capacity or
   /// executor stopping).
   Status Admit(Request r) GDIM_EXCLUDES(mu_);
+
+  /// Queues an admitted request and wakes the dispatcher.
+  void Enqueue(Request r) GDIM_REQUIRES(mu_);
 
   /// Admission for internal requests (generation adoption): exempt from the
   /// capacity bound — rejecting would strand the refresh — but still
@@ -340,6 +272,14 @@ class BatchExecutor {
   Result<ReindexReport> InstallGeneration(Result<RefreshedGeneration>* built)
       GDIM_REQUIRES(engine_->writer_role());
 
+  /// Publishes the engine gauges (graphs, epoch, ...) into the registry:
+  /// in the constructor, and on the dispatcher after every mutation before
+  /// its promise resolves — so a client always reads its own writes.
+  void PublishEngineMetrics();
+
+  /// Sets the gauges sampled at read time: queue depth and uptime.
+  void SampleProcessMetrics() GDIM_REQUIRES(mu_);
+
   void DispatcherLoop() GDIM_EXCLUDES(mu_);
   /// Runs one popped run of requests outside the lock; returns the
   /// promise-fulfilling closures, which the dispatcher invokes only after
@@ -362,16 +302,15 @@ class BatchExecutor {
   BatchExecutorOptions options_;
   /// Epoch-versioned result cache; null when options_.cache_bytes == 0.
   /// Only the dispatcher inserts/looks up (the cache locks internally for
-  /// Stats() readers).
+  /// StatsText() readers).
   std::unique_ptr<ResultCache> cache_;
 
-  /// The registry owns every counter and per-stage histogram; the raw
-  /// pointers below are its cells, resolved once at construction (stable
-  /// for the registry's lifetime). The cells are lock-free atomics, but the
-  /// executor still writes the request counters at the same program points
-  /// the old mu_-guarded fields were written — inside mu_ critical sections
-  /// — so a Stats() snapshot under mu_ remains mutually consistent
-  /// (accepted == completed + in-flight, etc.). Declared before
+  /// The registry owns every number the executor reports; the raw pointers
+  /// below are its cells, resolved once at construction (stable for the
+  /// registry's lifetime). The cells are lock-free atomics, but accepted,
+  /// rejected and completed (with the request-latency histogram) are
+  /// written inside mu_ critical sections, next to in_flight_, so
+  /// StatsText() reads them mutually consistent. Declared before
   /// dispatcher_ so the cells exist before any thread records into them.
   MetricRegistry registry_;
   MetricCounter* c_accepted_;
@@ -389,6 +328,16 @@ class BatchExecutor {
   MetricGauge* g_queue_high_watermark_;
   MetricGauge* g_uptime_seconds_;
   MetricGauge* g_start_epoch_;
+  MetricGauge* g_graphs_;
+  MetricGauge* g_shards_;
+  MetricGauge* g_features_;
+  MetricGauge* g_physical_rows_;
+  MetricGauge* g_tombstones_;
+  MetricGauge* g_epoch_;
+  MetricGauge* g_generation_;
+  MetricGauge* g_ivf_buckets_;
+  /// Client request latency, submit → completion (the STATS p50/p99).
+  LatencyHistogram* h_request_;
   LatencyHistogram* h_admission_wait_;
   LatencyHistogram* h_cache_probe_;
   LatencyHistogram* h_map_all_;
@@ -401,30 +350,22 @@ class BatchExecutor {
   LatencyHistogram* h_snapshot_write_;
   LatencyHistogram* h_reindex_build_;
   LatencyHistogram* h_reindex_swap_;
-  /// Uptime stopwatch + the Unix time it started, for the STATS gauges.
   WallTimer uptime_;
-  long long start_epoch_ = 0;
 
   mutable Mutex mu_;
   CondVar cv_;
   std::deque<Request> queue_ GDIM_GUARDED_BY(mu_);
   /// Admitted and not yet completed.
   size_t in_flight_ GDIM_GUARDED_BY(mu_) = 0;
-  /// Largest in_flight_ ever observed (admission queue high watermark).
-  size_t queue_high_watermark_ GDIM_GUARDED_BY(mu_) = 0;
   bool stop_ GDIM_GUARDED_BY(mu_) = false;
   bool paused_ GDIM_GUARDED_BY(mu_) = false;
-  /// Ring buffer of recent request latencies (submit → completion).
-  std::vector<double> latency_window_ GDIM_GUARDED_BY(mu_);
-  size_t latency_next_ GDIM_GUARDED_BY(mu_) = 0;
-  bool latency_full_ GDIM_GUARDED_BY(mu_) = false;
   /// Background snapshot accounting. The writer threads are detached; the
   /// destructor waits on snapshot_cv_ until none remain. The completion
   /// counter lives in the registry (c_snapshots_completed_).
   uint64_t snapshots_in_progress_ GDIM_GUARDED_BY(mu_) = 0;
   CondVar snapshot_cv_;
 
-  /// Reindex accounting (Stats() reads it; the dispatcher and the
+  /// Reindex accounting (StatsText() reads it; the dispatcher and the
   /// refresh-done callback write it). Completions count in the registry.
   bool reindex_in_flight_ GDIM_GUARDED_BY(mu_) = false;
   /// Successful Insert/Remove count since the last refresh started; feeds

@@ -2,11 +2,9 @@
 
 #include <sys/socket.h>
 
-#include <cstdio>
 #include <utility>
 
 #include "common/logging.h"
-#include "core/kernels/scan_kernel.h"
 #include "server/wire.h"
 
 namespace gdim {
@@ -167,52 +165,9 @@ std::string NetServer::HandleLine(const std::string& line, bool* quit) {
       if (!status.ok()) return FormatErrorResponse(status);
       return "OK snapshot";
     }
-    case WireVerb::kStats: {
-      Result<EngineGauges> gauges = executor_->Gauges();
-      if (!gauges.ok()) return FormatErrorResponse(gauges.status());
-      const BatchExecutorStats stats = executor_->Stats();
-      char out[2048];
-      std::snprintf(
-          out, sizeof(out),
-          "OK graphs=%d shards=%d features=%d physical_rows=%d "
-          "tombstones=%d accepted=%llu rejected=%llu "
-          "completed=%llu batches=%llu mutations=%llu queued=%zu "
-          "queue_depth=%zu queue_high_watermark=%zu "
-          "p50_ms=%.3f p99_ms=%.3f epoch=%llu cache_hits=%llu "
-          "cache_misses=%llu cache_evictions=%llu cache_entries=%zu "
-          "cache_bytes=%zu snapshots_in_progress=%llu "
-          "snapshots_completed=%llu dimension_generation=%llu "
-          "reindex_in_progress=%llu reindex_completed=%llu "
-          "approx_queries=%llu approx_candidates_scanned=%llu "
-          "approx_rows_pruned=%llu ivf_buckets=%d kernel=%s "
-          "uptime_seconds=%lld start_epoch=%lld",
-          gauges->graphs, gauges->shards, gauges->features,
-          gauges->physical_rows, gauges->tombstones,
-          static_cast<unsigned long long>(stats.accepted),
-          static_cast<unsigned long long>(stats.rejected),
-          static_cast<unsigned long long>(stats.completed),
-          static_cast<unsigned long long>(stats.batches),
-          static_cast<unsigned long long>(stats.mutations), stats.queued,
-          stats.queued, stats.queue_high_watermark,
-          stats.latency_ms.p50, stats.latency_ms.p99,
-          static_cast<unsigned long long>(gauges->epoch),
-          static_cast<unsigned long long>(stats.cache.hits),
-          static_cast<unsigned long long>(stats.cache.misses),
-          static_cast<unsigned long long>(stats.cache.evictions),
-          stats.cache.entries, stats.cache.bytes,
-          static_cast<unsigned long long>(stats.snapshots_in_progress),
-          static_cast<unsigned long long>(stats.snapshots_completed),
-          static_cast<unsigned long long>(gauges->generation),
-          static_cast<unsigned long long>(stats.reindexes_in_progress),
-          static_cast<unsigned long long>(stats.reindexes_completed),
-          static_cast<unsigned long long>(stats.approx_queries),
-          static_cast<unsigned long long>(stats.approx_candidates_scanned),
-          static_cast<unsigned long long>(stats.approx_rows_pruned),
-          gauges->ivf_buckets, ActiveScanKernel().name(),
-          static_cast<long long>(stats.uptime_seconds),
-          stats.start_epoch);
-      return out;
-    }
+    case WireVerb::kStats:
+      // Like METRICS, read straight from the registry: never queued.
+      return executor_->StatsText();
     case WireVerb::kMetrics:
       // Multi-line Prometheus exposition; the terminating '# EOF' line lets
       // a line-oriented client know where the scrape ends.

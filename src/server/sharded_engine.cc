@@ -396,7 +396,6 @@ Ranking ShardedEngine::ScatterGather(const std::vector<uint8_t>& fingerprint,
   const double gather_usec = gather_timer.Micros();
   if (stats != nullptr) {
     stats->latency_ms = timer.Millis();
-    stats->features_on = shard_stats[0].features_on;
     stats->scanned = 0;
     stats->rows_pruned = 0;
     stats->ivf_probe_usec = 0.0;
@@ -493,7 +492,6 @@ void ShardedEngine::ScanMappedBatch(
         for (int q = 0; q < count; ++q) {
           ServeQueryStats& s = (*stats)[static_cast<size_t>(begin + q)];
           s.latency_ms = tile_ms;
-          s.features_on = shard_stats[0][static_cast<size_t>(q)].features_on;
           s.scanned = 0;
           for (size_t sh = 0; sh < shards_.size(); ++sh) {
             s.scanned += shard_stats[sh][static_cast<size_t>(q)].scanned;

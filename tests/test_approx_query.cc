@@ -34,6 +34,7 @@
 #include "graph/graph.h"
 #include "server/batch_executor.h"
 #include "server/sharded_engine.h"
+#include "server/wire.h"
 
 namespace gdim {
 namespace {
@@ -309,12 +310,13 @@ TEST(ApproxQueryTest, ExecutorPublishesApproxCountersAndKeysCacheOnNprobe) {
   ASSERT_TRUE(narrow_answer.ok());
   auto all_answer = executor.Query(query, all);
   ASSERT_TRUE(all_answer.ok());
-  const BatchExecutorStats after_cold = executor.Stats();
-  EXPECT_EQ(after_cold.approx_queries, 2u);
-  EXPECT_EQ(after_cold.approx_candidates_scanned +
-                after_cold.approx_rows_pruned,
-            2u * kRows);
-  EXPECT_GT(after_cold.approx_rows_pruned, 0u);  // nprobe=1 pruned rows
+  const std::string after_cold = executor.StatsText();
+  EXPECT_EQ(StatsField(after_cold, "approx_queries"), 2) << after_cold;
+  EXPECT_EQ(StatsField(after_cold, "approx_candidates_scanned") +
+                StatsField(after_cold, "approx_rows_pruned"),
+            2 * kRows)
+      << after_cold;
+  EXPECT_GT(StatsField(after_cold, "approx_rows_pruned"), 0);  // nprobe=1
 
   // Same fingerprint, different nprobe: the cache must key them apart. The
   // repeats must be hits that replay each depth's own answer, and hits do
@@ -324,11 +326,11 @@ TEST(ApproxQueryTest, ExecutorPublishesApproxCountersAndKeysCacheOnNprobe) {
   ASSERT_TRUE(narrow_hit.ok() && all_hit.ok());
   EXPECT_EQ(*narrow_hit, *narrow_answer);
   EXPECT_EQ(*all_hit, *all_answer);
-  const BatchExecutorStats after_hits = executor.Stats();
-  EXPECT_EQ(after_hits.cache.hits, 2u);
-  EXPECT_EQ(after_hits.approx_queries, 2u);
-  EXPECT_EQ(after_hits.approx_candidates_scanned,
-            after_cold.approx_candidates_scanned);
+  const std::string after_hits = executor.StatsText();
+  EXPECT_EQ(StatsField(after_hits, "cache_hits"), 2) << after_hits;
+  EXPECT_EQ(StatsField(after_hits, "approx_queries"), 2) << after_hits;
+  EXPECT_EQ(StatsField(after_hits, "approx_candidates_scanned"),
+            StatsField(after_cold, "approx_candidates_scanned"));
 
   // The full-scan answer equals NPROBE=all through the executor too.
   auto full = executor.Query(query, {.k = kTopK,
@@ -365,11 +367,10 @@ TEST(ApproxQueryTest, ChurnedCountersCountOnlyLiveRows) {
                                              &rng)))
             .ok());
   }
-  auto gauges = executor.Gauges();
-  ASSERT_TRUE(gauges.ok());
-  const uint64_t live = static_cast<uint64_t>(gauges->graphs);
-  ASSERT_GT(gauges->tombstones, 0);  // the ghosts the counters must ignore
-  const uint64_t physical = static_cast<uint64_t>(gauges->physical_rows);
+  const std::string gauges = executor.StatsText();
+  const long long live = StatsField(gauges, "graphs");
+  ASSERT_GT(StatsField(gauges, "tombstones"), 0);  // ghosts to ignore
+  const long long physical = StatsField(gauges, "physical_rows");
   ASSERT_GT(physical, live);
 
   // A narrow probe: whatever it scans plus whatever it prunes must be
@@ -380,10 +381,12 @@ TEST(ApproxQueryTest, ChurnedCountersCountOnlyLiveRows) {
                   .Query(q1, {.k = kTopK, .scan_mode = ScanMode::kApprox,
                               .nprobe = 1})
                   .ok());
-  const BatchExecutorStats narrow = executor.Stats();
-  EXPECT_EQ(narrow.approx_candidates_scanned + narrow.approx_rows_pruned,
-            live);
-  EXPECT_GT(narrow.approx_rows_pruned, 0u);
+  const std::string narrow = executor.StatsText();
+  const long long narrow_scanned =
+      StatsField(narrow, "approx_candidates_scanned");
+  const long long narrow_pruned = StatsField(narrow, "approx_rows_pruned");
+  EXPECT_EQ(narrow_scanned + narrow_pruned, live);
+  EXPECT_GT(narrow_pruned, 0);
 
   // NPROBE=all prunes nothing: it scans the live rows — all of them and
   // only them. A tombstone-inflated counter would report `physical` here.
@@ -393,10 +396,10 @@ TEST(ApproxQueryTest, ChurnedCountersCountOnlyLiveRows) {
                   .Query(q2, {.k = kTopK, .scan_mode = ScanMode::kApprox,
                               .nprobe = kNprobeAll})
                   .ok());
-  const BatchExecutorStats all = executor.Stats();
-  EXPECT_EQ(all.approx_candidates_scanned - narrow.approx_candidates_scanned,
+  const std::string all = executor.StatsText();
+  EXPECT_EQ(StatsField(all, "approx_candidates_scanned") - narrow_scanned,
             live);
-  EXPECT_EQ(all.approx_rows_pruned, narrow.approx_rows_pruned);
+  EXPECT_EQ(StatsField(all, "approx_rows_pruned"), narrow_pruned);
 }
 
 TEST(ApproxQueryTest, SaturatedNprobeSharesTheNprobeAllCacheEntry) {
@@ -430,9 +433,9 @@ TEST(ApproxQueryTest, SaturatedNprobeSharesTheNprobeAllCacheEntry) {
     ASSERT_TRUE(repeat.ok());
     EXPECT_EQ(*repeat, *all_answer) << "nprobe=" << nprobe;
   }
-  const BatchExecutorStats stats = executor.Stats();
-  EXPECT_EQ(stats.cache.hits, 3u);
-  EXPECT_EQ(stats.approx_queries, 1u);  // one computation, three replays
+  const std::string stats = executor.StatsText();
+  EXPECT_EQ(StatsField(stats, "cache_hits"), 3) << stats;
+  EXPECT_EQ(StatsField(stats, "approx_queries"), 1);  // 1 scan, 3 replays
 
   // One below saturation is a genuinely different probe set: its own miss,
   // its own entry.
@@ -440,8 +443,8 @@ TEST(ApproxQueryTest, SaturatedNprobeSharesTheNprobeAllCacheEntry) {
       query, {.k = kTopK, .scan_mode = ScanMode::kApprox,
               .nprobe = saturation - 1});
   ASSERT_TRUE(narrower.ok());
-  EXPECT_EQ(executor.Stats().cache.hits, 3u);
-  EXPECT_EQ(executor.Stats().approx_queries, 2u);
+  EXPECT_EQ(StatsField(executor.StatsText(), "cache_hits"), 3);
+  EXPECT_EQ(StatsField(executor.StatsText(), "approx_queries"), 2);
 }
 
 }  // namespace

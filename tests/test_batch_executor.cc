@@ -20,6 +20,7 @@
 #include "graph/graph.h"
 #include "server/batch_executor.h"
 #include "server/sharded_engine.h"
+#include "server/wire.h"
 
 namespace gdim {
 namespace {
@@ -89,14 +90,18 @@ TEST(BatchExecutorTest, ConcurrentQueriesMatchDirectEngine) {
   }
   for (auto& d : done) EXPECT_TRUE(d.get());
 
-  const BatchExecutorStats stats = executor.Stats();
-  EXPECT_EQ(stats.accepted, static_cast<uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(stats.completed, stats.accepted);
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_GE(stats.batches, 1u);
+  const std::string stats = executor.StatsText();
+  const long long accepted = StatsField(stats, "accepted");
+  EXPECT_EQ(accepted, kThreads * kPerThread) << stats;
+  EXPECT_EQ(StatsField(stats, "completed"), accepted) << stats;
+  EXPECT_EQ(StatsField(stats, "rejected"), 0) << stats;
+  EXPECT_GE(StatsField(stats, "batches"), 1) << stats;
   // Coalescing must never run more batches than requests.
-  EXPECT_LE(stats.batches, stats.accepted);
-  EXPECT_EQ(stats.latency_ms.count, stats.accepted);
+  EXPECT_LE(StatsField(stats, "batches"), accepted) << stats;
+  // Every completed client request landed one latency sample.
+  const BucketHistogram latency =
+      executor.metrics().GetHistogram("gdim_request_usec", "")->Snapshot();
+  EXPECT_EQ(static_cast<long long>(latency.count()), accepted);
 }
 
 TEST(BatchExecutorTest, FullQueueRejectsWithResourceExhausted) {
@@ -113,7 +118,7 @@ TEST(BatchExecutorTest, FullQueueRejectsWithResourceExhausted) {
   auto q2 = std::async(std::launch::async, [&] {
     return executor.Query(LabelGraph({1}), {.k = 3});
   });
-  while (executor.Stats().queued < 2) {
+  while (StatsField(executor.StatsText(), "queued") < 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Queue is at capacity: the next submit must bounce immediately with the
@@ -127,9 +132,9 @@ TEST(BatchExecutorTest, FullQueueRejectsWithResourceExhausted) {
   executor.Resume();
   EXPECT_TRUE(q1.get().ok());
   EXPECT_TRUE(q2.get().ok());
-  const BatchExecutorStats stats = executor.Stats();
-  EXPECT_EQ(stats.rejected, 2u);
-  EXPECT_EQ(stats.completed, 2u);
+  const std::string stats = executor.StatsText();
+  EXPECT_EQ(StatsField(stats, "rejected"), 2) << stats;
+  EXPECT_EQ(StatsField(stats, "completed"), 2) << stats;
 }
 
 TEST(BatchExecutorTest, MutationsAreFifoWithQueries) {
@@ -152,11 +157,10 @@ TEST(BatchExecutorTest, MutationsAreFifoWithQueries) {
   ASSERT_TRUE(without.ok());
   for (const RankedResult& r : *without) EXPECT_NE(r.id, 6);
 
-  Result<EngineGauges> gauges = executor.Gauges();
-  ASSERT_TRUE(gauges.ok());
-  EXPECT_EQ(gauges->graphs, 6);
-  EXPECT_EQ(gauges->shards, 3);
-  EXPECT_EQ(gauges->features, 5);
+  const std::string gauges = executor.StatsText();
+  EXPECT_EQ(StatsField(gauges, "graphs"), 6) << gauges;
+  EXPECT_EQ(StatsField(gauges, "shards"), 3) << gauges;
+  EXPECT_EQ(StatsField(gauges, "features"), 5) << gauges;
 
   const std::string path = ::testing::TempDir() + "/gdim_executor_snap.idx2";
   ASSERT_TRUE(executor.Snapshot(path).ok());
@@ -164,8 +168,8 @@ TEST(BatchExecutorTest, MutationsAreFifoWithQueries) {
   ASSERT_TRUE(reloaded.ok());
   EXPECT_EQ(reloaded->num_graphs(), 6);
 
-  const BatchExecutorStats stats = executor.Stats();
-  EXPECT_EQ(stats.mutations, 4u);  // insert + 2 removes + snapshot
+  // insert + 2 removes + snapshot
+  EXPECT_EQ(StatsField(executor.StatsText(), "mutations"), 4);
 }
 
 TEST(BatchExecutorTest, CacheHitsAreExactAndEveryMutationInvalidates) {
@@ -180,15 +184,15 @@ TEST(BatchExecutorTest, CacheHitsAreExactAndEveryMutationInvalidates) {
   Result<Ranking> hit = executor.Query(probe, {.k = 5});
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(*hit, *cold);
-  BatchExecutorStats stats = executor.Stats();
-  EXPECT_EQ(stats.cache.hits, 1u);
-  EXPECT_EQ(stats.cache.misses, 1u);
+  const std::string stats = executor.StatsText();
+  EXPECT_EQ(StatsField(stats, "cache_hits"), 1) << stats;
+  EXPECT_EQ(StatsField(stats, "cache_misses"), 1) << stats;
 
   // Different k is a different key, not a truncation of the cached list.
   Result<Ranking> other_k = executor.Query(probe, {.k = 2});
   ASSERT_TRUE(other_k.ok());
   EXPECT_EQ(other_k->size(), 2u);
-  EXPECT_EQ(executor.Stats().cache.misses, 2u);
+  EXPECT_EQ(StatsField(executor.StatsText(), "cache_misses"), 2);
 
   // Insert an exact match: the stale top-5 must NOT be replayed — the new
   // row (distance 0) has to surface immediately.
@@ -208,16 +212,16 @@ TEST(BatchExecutorTest, CacheHitsAreExactAndEveryMutationInvalidates) {
 
   // Compact does not change answers but must still invalidate (epoch bump):
   // the next ask is a fresh miss that returns the identical ranking.
-  const uint64_t misses_before = executor.Stats().cache.misses;
+  const long long misses_before =
+      StatsField(executor.StatsText(), "cache_misses");
   ASSERT_TRUE(executor.Compact().ok());
   Result<Ranking> after_compact = executor.Query(probe, {.k = 5});
   ASSERT_TRUE(after_compact.ok());
   EXPECT_EQ(*after_compact, *cold);
-  EXPECT_EQ(executor.Stats().cache.misses, misses_before + 1);
-
-  Result<EngineGauges> gauges = executor.Gauges();
-  ASSERT_TRUE(gauges.ok());
-  EXPECT_GE(gauges->epoch, 3u);  // insert + remove + compact at least
+  EXPECT_EQ(StatsField(executor.StatsText(), "cache_misses"),
+            misses_before + 1);
+  // insert + remove + compact at least
+  EXPECT_GE(StatsField(executor.StatsText(), "epoch"), 3);
 }
 
 TEST(BatchExecutorTest, CacheDisabledByDefaultReportsNothing) {
@@ -225,17 +229,19 @@ TEST(BatchExecutorTest, CacheDisabledByDefaultReportsNothing) {
   BatchExecutor executor(&engine);
   ASSERT_TRUE(executor.Query(LabelGraph({0}), {.k = 3}).ok());
   ASSERT_TRUE(executor.Query(LabelGraph({0}), {.k = 3}).ok());
-  const BatchExecutorStats stats = executor.Stats();
-  EXPECT_EQ(stats.cache.hits, 0u);
-  EXPECT_EQ(stats.cache.misses, 0u);
-  EXPECT_EQ(stats.cache.max_bytes, 0u);
+  const std::string stats = executor.StatsText();
+  EXPECT_EQ(StatsField(stats, "cache_hits"), 0) << stats;
+  EXPECT_EQ(StatsField(stats, "cache_misses"), 0) << stats;
+  // No cache exists: nothing held, nothing charged.
+  EXPECT_EQ(StatsField(stats, "cache_entries"), 0) << stats;
+  EXPECT_EQ(StatsField(stats, "cache_bytes"), 0) << stats;
 }
 
 // The non-blocking-snapshot proof, made deterministic with a FIFO: the
 // background writer blocks opening the pipe (no reader yet), and while it
 // is provably still in progress the dispatcher keeps answering queries and
 // mutations. Draining the pipe then releases the writer, and the bytes that
-// come out are a valid v2 snapshot of the state at freeze time — the
+// come out are a valid v3 snapshot of the state at freeze time — the
 // mutations that ran DURING the snapshot are not in it.
 TEST(BatchExecutorTest, SnapshotStreamsInBackgroundWithoutBlockingQueries) {
   constexpr int kRows = 12;
@@ -253,11 +259,13 @@ TEST(BatchExecutorTest, SnapshotStreamsInBackgroundWithoutBlockingQueries) {
   auto pending = std::async(std::launch::async,
                             [&] { return executor.Snapshot(fifo); });
   // The freeze + handoff happen quickly; the write then parks on the pipe.
-  for (int i = 0; i < 5000 && executor.Stats().snapshots_in_progress == 0;
-       ++i) {
+  const auto in_progress = [&] {
+    return StatsField(executor.StatsText(), "snapshots_in_progress");
+  };
+  for (int i = 0; i < 5000 && in_progress() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(executor.Stats().snapshots_in_progress, 1u);
+  EXPECT_EQ(in_progress(), 1);
 
   // Queries and mutations keep flowing while the snapshot is in flight.
   Result<Ranking> during = executor.Query(LabelGraph({0, 2, 4}), {.k = 4});
@@ -265,7 +273,7 @@ TEST(BatchExecutorTest, SnapshotStreamsInBackgroundWithoutBlockingQueries) {
   EXPECT_EQ(during->size(), 4u);
   Result<int> inserted = executor.Insert(LabelGraph({0, 1, 2, 3, 4}));
   ASSERT_TRUE(inserted.ok());
-  EXPECT_EQ(executor.Stats().snapshots_in_progress, 1u)
+  EXPECT_EQ(in_progress(), 1)
       << "snapshot must still be writing while queries are served";
 
   // Release the writer: drain the pipe into a real file.
@@ -283,9 +291,9 @@ TEST(BatchExecutorTest, SnapshotStreamsInBackgroundWithoutBlockingQueries) {
   }
   Status written = pending.get();
   EXPECT_TRUE(written.ok()) << written.ToString();
-  const BatchExecutorStats stats = executor.Stats();
-  EXPECT_EQ(stats.snapshots_in_progress, 0u);
-  EXPECT_EQ(stats.snapshots_completed, 1u);
+  const std::string stats = executor.StatsText();
+  EXPECT_EQ(StatsField(stats, "snapshots_in_progress"), 0) << stats;
+  EXPECT_EQ(StatsField(stats, "snapshots_completed"), 1) << stats;
 
   // The drained bytes are the freeze-time state: the insert that happened
   // mid-write is absent, everything older is present.
@@ -307,7 +315,7 @@ TEST(BatchExecutorTest, DestructorDrainsAdmittedRequests) {
         return executor.Query(LabelGraph({0, 2}), {.k = 4});
       }));
     }
-    while (executor.Stats().queued < 5) {
+    while (StatsField(executor.StatsText(), "queued") < 5) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     // Destruction drains the paused queue before stopping the dispatcher.

@@ -8,9 +8,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <fstream>
 #include <future>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -303,6 +305,35 @@ TEST_F(NetServerTest, VerbsRoundTripOverTcp) {
 
   EXPECT_EQ(client.Rpc("QUIT"), "OK bye");
   EXPECT_TRUE(client.AtEof());
+}
+
+/// The STATS line is a wire contract that scripts split on spaces and '=':
+/// the exact ordered key list is pinned here (values only where stable).
+TEST_F(NetServerTest, StatsLineHasTheGoldenKeyOrder) {
+  Client client(server_->port());
+  const std::string probe = EncodeGraphInline(LabelGraph({0, 2, 4}));
+  EXPECT_EQ(client.Rpc("QUERY 5 " + probe).rfind("OK ", 0), 0u);
+  const std::string stats = client.Rpc("STATS");
+  ASSERT_EQ(stats.rfind("OK ", 0), 0u) << stats;
+
+  std::vector<std::string> keys;
+  std::istringstream tokens(stats.substr(3));
+  for (std::string token; tokens >> token;) {
+    const size_t eq = token.find('=');
+    ASSERT_TRUE(eq != std::string::npos && eq + 1 < token.size()) << token;
+    keys.push_back(token.substr(0, eq));
+  }
+  const std::vector<std::string> golden = {
+      "graphs", "shards", "features", "physical_rows", "tombstones",
+      "accepted", "rejected", "completed", "batches", "mutations", "queued",
+      "queue_depth", "queue_high_watermark", "p50_ms", "p99_ms", "epoch",
+      "cache_hits", "cache_misses", "cache_evictions", "cache_entries",
+      "cache_bytes", "snapshots_in_progress", "snapshots_completed",
+      "dimension_generation", "reindex_in_progress", "reindex_completed",
+      "approx_queries", "approx_candidates_scanned", "approx_rows_pruned",
+      "ivf_buckets", "kernel", "uptime_seconds", "start_epoch",
+  };
+  EXPECT_EQ(keys, golden) << stats;
 }
 
 TEST_F(NetServerTest, MalformedLinesAnswerErrAndKeepTheConnection) {
@@ -713,14 +744,62 @@ TEST_F(NetServerTest, MetricsExpositionOverTheWire) {
   }
   EXPECT_EQ(inf_bucket, 2);
 
-  // STATS stays frozen and consistent with the registry view (the STATS
-  // call itself admits one gauges request, hence 4).
+  // The engine gauges are registry gauges, published after the INSERT.
+  for (const char* gauge :
+       {"gdim_engine_graphs 21", "gdim_engine_shards 2",
+        "gdim_engine_features 5", "gdim_engine_epoch 1",
+        "gdim_engine_dimension_generation 0"}) {
+    EXPECT_NE(text.find(std::string(gauge) + "\n"), std::string::npos)
+        << gauge;
+  }
+
+  // STATS is a view of the same registry: it never enters the admission
+  // queue, so it counts neither itself nor the METRICS scrape — the three
+  // requests above are all there is.
   const std::string stats = client.Rpc("STATS");
-  EXPECT_EQ(StatsField(stats, "accepted"), 4) << stats;
+  EXPECT_EQ(StatsField(stats, "accepted"), 3) << stats;
+  EXPECT_EQ(StatsField(stats, "completed"), 3) << stats;
+  EXPECT_EQ(StatsField(stats, "graphs"), 21) << stats;
+  EXPECT_NE(text.find("gdim_request_usec_count 3\n"), std::string::npos);
   EXPECT_GE(StatsField(stats, "uptime_seconds"), 0) << stats;
   EXPECT_GT(StatsField(stats, "start_epoch"), 0) << stats;
   EXPECT_EQ(StatsField(stats, "queue_depth"), 0) << stats;
   EXPECT_GE(StatsField(stats, "queue_high_watermark"), 1) << stats;
+}
+
+/// STATS reads the registry instead of queueing behind the requests it
+/// reports on: with the admission queue full, a QUERY is load-shed but
+/// STATS still answers, and counts neither itself nor the rejection twice.
+TEST(NetServerAdmissionTest, StatsAnswersWhileTheQueueIsFull) {
+  auto engine = ShardedEngine::FromIndex(LabelIndex(8));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  BatchExecutorOptions opts;
+  opts.queue_capacity = 1;
+  BatchExecutor executor(&*engine, opts);
+  NetServer server(&executor);
+  ASSERT_TRUE(server.Start().ok());
+  executor.Pause();
+  const std::string query = "QUERY 3 " + EncodeGraphInline(LabelGraph({0, 2}));
+  auto parked = std::async(std::launch::async, [&] {
+    Client parked_client(server.port());
+    return parked_client.Rpc(query);
+  });
+
+  Client client(server.port());
+  for (int i = 0; i < 5000; ++i) {
+    if (StatsField(client.Rpc("STATS"), "queued") == 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(client.Rpc(query).rfind("ERR ResourceExhausted", 0), 0u);
+  const std::string stats = client.Rpc("STATS");
+  EXPECT_EQ(stats.rfind("OK ", 0), 0u) << stats;
+  EXPECT_EQ(StatsField(stats, "queued"), 1) << stats;
+  EXPECT_EQ(StatsField(stats, "accepted"), 1) << stats;
+  EXPECT_EQ(StatsField(stats, "rejected"), 1) << stats;
+
+  executor.Resume();
+  EXPECT_EQ(parked.get().rfind("OK ", 0), 0u);
+  server.Stop();
 }
 
 TEST_F(NetServerTest, TraceOptionReturnsAStageBreakdownLine) {

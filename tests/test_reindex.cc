@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <future>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "reindex/dimension_refresher.h"
 #include "server/batch_executor.h"
 #include "server/sharded_engine.h"
+#include "server/wire.h"
 #include "store/graph_store.h"
 
 namespace gdim {
@@ -238,33 +240,29 @@ TEST(ReindexDifferentialTest, SwapMatchesOfflineRebuild) {
         EXPECT_EQ(*hot, *cold);
         before.push_back(std::move(*cold));
       }
-      Result<EngineGauges> pre = executor.Gauges();
-      ASSERT_TRUE(pre.ok());
-      EXPECT_EQ(pre->generation, 0u);
-      ASSERT_GE(executor.Stats().cache.hits, probes.size());
+      const std::string pre = executor.StatsText();
+      EXPECT_EQ(StatsField(pre, "dimension_generation"), 0) << pre;
+      ASSERT_GE(StatsField(pre, "cache_hits"), std::ssize(probes)) << pre;
 
       // The online reindex. It is ONE client request: the internal
       // generation-adoption step must not fabricate a phantom entry in
       // the accepted/completed arithmetic clients do from STATS deltas.
-      const uint64_t accepted_before = executor.Stats().accepted;
+      const long long accepted_before = StatsField(pre, "accepted");
       Result<ReindexReport> report = executor.Reindex(8);
       ASSERT_TRUE(report.ok()) << report.status().ToString();
       EXPECT_EQ(report->generation, 1u);
       EXPECT_EQ(report->features, 8);
       EXPECT_EQ(report->remapped, 0);  // no churn during this refresh
-      const BatchExecutorStats drained = executor.Stats();
-      EXPECT_EQ(drained.accepted, accepted_before + 1);
-      EXPECT_EQ(drained.completed, drained.accepted);
-
-      Result<EngineGauges> post = executor.Gauges();
-      ASSERT_TRUE(post.ok());
-      EXPECT_GT(post->epoch, pre->epoch);
-      EXPECT_EQ(post->generation, 1u);
-      EXPECT_EQ(post->features, 8);
-      EXPECT_EQ(post->graphs, pre->graphs);
-      const BatchExecutorStats stats = executor.Stats();
-      EXPECT_EQ(stats.reindexes_completed, 1u);
-      EXPECT_EQ(stats.reindexes_in_progress, 0u);
+      const std::string post = executor.StatsText();
+      EXPECT_EQ(StatsField(post, "accepted"), accepted_before + 1) << post;
+      EXPECT_EQ(StatsField(post, "completed"), StatsField(post, "accepted"))
+          << post;
+      EXPECT_GT(StatsField(post, "epoch"), StatsField(pre, "epoch"));
+      EXPECT_EQ(StatsField(post, "dimension_generation"), 1) << post;
+      EXPECT_EQ(StatsField(post, "features"), 8) << post;
+      EXPECT_EQ(StatsField(post, "graphs"), StatsField(pre, "graphs"));
+      EXPECT_EQ(StatsField(post, "reindex_completed"), 1) << post;
+      EXPECT_EQ(StatsField(post, "reindex_in_progress"), 0) << post;
 
       // The offline rebuild: same live set, same pipeline, same seed.
       RefreshOptions offline_opts = FastRefresh("DSPMap", 8, 13);
@@ -286,14 +284,15 @@ TEST(ReindexDifferentialTest, SwapMatchesOfflineRebuild) {
       // cached on the OLD generation (warmed above); its first query
       // after the swap must be a fresh miss — the epoch bump makes the
       // old entry unreachable — answered exactly like the offline build.
-      const uint64_t hits_at_swap = executor.Stats().cache.hits;
-      const uint64_t misses_at_swap = executor.Stats().cache.misses;
+      const long long hits_at_swap = StatsField(post, "cache_hits");
+      const long long misses_at_swap = StatsField(post, "cache_misses");
       Result<Ranking> first = executor.Query(probes[0], {.k = 6});
       ASSERT_TRUE(first.ok());
       EXPECT_EQ(*first, offline_engine->Query(probes[0], {.k = 6}));
-      EXPECT_EQ(executor.Stats().cache.hits, hits_at_swap)
+      const std::string after_first = executor.StatsText();
+      EXPECT_EQ(StatsField(after_first, "cache_hits"), hits_at_swap)
           << "a cached answer crossed the generation boundary";
-      EXPECT_EQ(executor.Stats().cache.misses, misses_at_swap + 1);
+      EXPECT_EQ(StatsField(after_first, "cache_misses"), misses_at_swap + 1);
 
       // Bit-identical answers for the whole probe set (probes sharing a
       // fingerprint may legitimately hit same-generation entries now).
@@ -363,11 +362,13 @@ TEST(ReindexLiveTest, QueriesAndMutationsFlowWhileSelectionIsParked) {
 
   auto pending = std::async(std::launch::async,
                             [&] { return executor.Reindex(5); });
-  for (int i = 0;
-       i < 5000 && executor.Stats().reindexes_in_progress == 0; ++i) {
+  const auto stat = [&](const char* key) {
+    return StatsField(executor.StatsText(), key);
+  };
+  for (int i = 0; i < 5000 && stat("reindex_in_progress") == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(executor.Stats().reindexes_in_progress, 1u);
+  ASSERT_EQ(stat("reindex_in_progress"), 1);
 
   // Queries flow while the selection is parked...
   Result<Ranking> during = executor.Query(corpus[0], {.k = 3});
@@ -384,8 +385,8 @@ TEST(ReindexLiveTest, QueriesAndMutationsFlowWhileSelectionIsParked) {
   Result<ReindexReport> second = executor.Reindex();
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
-  ASSERT_EQ(executor.Stats().reindexes_in_progress, 1u);
-  EXPECT_EQ(executor.Gauges()->generation, 0u);
+  ASSERT_EQ(stat("reindex_in_progress"), 1);
+  EXPECT_EQ(stat("dimension_generation"), 0);
 
   // Release the selection; the swap lands and the RPC resolves.
   {
@@ -402,10 +403,10 @@ TEST(ReindexLiveTest, QueriesAndMutationsFlowWhileSelectionIsParked) {
   // The new generation reflects the churn that happened during selection:
   // the inserted graph is present (its own fingerprint at distance 0) and
   // the removed one is gone.
-  Result<EngineGauges> gauges = executor.Gauges();
-  ASSERT_TRUE(gauges.ok());
-  EXPECT_EQ(gauges->generation, 1u);
-  Result<Ranking> all = executor.Query(extra[0], {.k = gauges->graphs});
+  const std::string gauges = executor.StatsText();
+  EXPECT_EQ(StatsField(gauges, "dimension_generation"), 1) << gauges;
+  Result<Ranking> all = executor.Query(
+      extra[0], {.k = static_cast<int>(StatsField(gauges, "graphs"))});
   ASSERT_TRUE(all.ok());
   bool found_inserted = false;
   for (const RankedResult& r : *all) {
@@ -438,17 +439,15 @@ TEST(ReindexLiveTest, AutoTriggerRefreshesAfterNMutations) {
   }
   // The fourth mutation fires a background refresh; poll the gauges until
   // the generation lands (bounded wait, no sleep-based timing assumption).
-  uint64_t generation = 0;
+  long long generation = 0;
   for (int i = 0; i < 10000 && generation == 0; ++i) {
-    Result<EngineGauges> gauges = executor.Gauges();
-    ASSERT_TRUE(gauges.ok());
-    generation = gauges->generation;
+    generation = StatsField(executor.StatsText(), "dimension_generation");
     if (generation == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-  EXPECT_EQ(generation, 1u);
-  EXPECT_EQ(executor.Stats().reindexes_completed, 1u);
+  EXPECT_EQ(generation, 1);
+  EXPECT_EQ(StatsField(executor.StatsText(), "reindex_completed"), 1);
   // Keep serving on the new generation.
   Result<Ranking> after = executor.Query(extra[0], {.k = 4});
   ASSERT_TRUE(after.ok());

@@ -23,6 +23,7 @@
 #include "reindex/dimension_refresher.h"
 #include "server/batch_executor.h"
 #include "server/sharded_engine.h"
+#include "server/wire.h"
 #include "store/graph_store.h"
 
 namespace gdim {
@@ -145,11 +146,10 @@ TEST(RestartDifferentialTest, V3SnapshotRestartIsBitIdentical) {
         // Capture the ground truth AFTER the snapshot with no mutations in
         // between, so the file and the captured answers describe the same
         // state.
-        Result<EngineGauges> gauges = executor.Gauges();
-        ASSERT_TRUE(gauges.ok());
-        EXPECT_EQ(gauges->generation, 2u);
-        epoch_before = gauges->epoch;
-        graphs_before = gauges->graphs;
+        const std::string gauges = executor.StatsText();
+        EXPECT_EQ(StatsField(gauges, "dimension_generation"), 2) << gauges;
+        epoch_before = static_cast<uint64_t>(StatsField(gauges, "epoch"));
+        graphs_before = static_cast<int>(StatsField(gauges, "graphs"));
         for (const Graph& p : probes) {
           Result<Ranking> f = executor.Query(p, full);
           Result<Ranking> a = executor.Query(p, approx_all);
@@ -201,22 +201,26 @@ TEST(RestartDifferentialTest, V3SnapshotRestartIsBitIdentical) {
       BatchExecutorOptions executor2_opts = executor_opts;
       executor2_opts.store = &store2;
       BatchExecutor executor2(&*engine2, executor2_opts);
-      Result<EngineGauges> gauges2 = executor2.Gauges();
-      ASSERT_TRUE(gauges2.ok());
-      EXPECT_EQ(gauges2->generation, 2u);
-      EXPECT_EQ(gauges2->epoch, epoch_before);
-      EXPECT_EQ(gauges2->graphs, graphs_before);
+      const std::string gauges2 = executor2.StatsText();
+      EXPECT_EQ(StatsField(gauges2, "dimension_generation"), 2) << gauges2;
+      EXPECT_EQ(StatsField(gauges2, "epoch"),
+                static_cast<long long>(epoch_before))
+          << gauges2;
+      EXPECT_EQ(StatsField(gauges2, "graphs"), graphs_before) << gauges2;
 
       // The restarted cache starts empty: the first probe is a compulsory
       // miss, never a replay of a pre-restart entry. (Later probes may hit
       // entries THIS process cached — chem probes can share a graph.)
-      const BatchExecutorStats fresh = executor2.Stats();
-      EXPECT_EQ(fresh.cache.hits, 0u);
+      const std::string fresh = executor2.StatsText();
+      EXPECT_EQ(StatsField(fresh, "cache_hits"), 0) << fresh;
       Result<Ranking> first = executor2.Query(probes[0], full);
       ASSERT_TRUE(first.ok());
       EXPECT_EQ(*first, full_before[0]);
-      EXPECT_EQ(executor2.Stats().cache.hits, fresh.cache.hits);
-      EXPECT_EQ(executor2.Stats().cache.misses, fresh.cache.misses + 1);
+      const std::string after_first = executor2.StatsText();
+      EXPECT_EQ(StatsField(after_first, "cache_hits"),
+                StatsField(fresh, "cache_hits"));
+      EXPECT_EQ(StatsField(after_first, "cache_misses"),
+                StatsField(fresh, "cache_misses") + 1);
 
       // The differential: every probe, both modes, bit-identical.
       for (size_t i = 0; i < probes.size(); ++i) {
@@ -231,9 +235,8 @@ TEST(RestartDifferentialTest, V3SnapshotRestartIsBitIdentical) {
       // The restored epoch keeps climbing from the persisted value, and
       // REINDEX works from the snapshot-seeded store — no --db anywhere.
       ASSERT_TRUE(executor2.Remove(0).ok());
-      Result<EngineGauges> after = executor2.Gauges();
-      ASSERT_TRUE(after.ok());
-      EXPECT_GT(after->epoch, epoch_before);
+      EXPECT_GT(StatsField(executor2.StatsText(), "epoch"),
+                static_cast<long long>(epoch_before));
       Result<ReindexReport> gen3 = executor2.Reindex(8);
       ASSERT_TRUE(gen3.ok()) << gen3.status().ToString();
       EXPECT_EQ(gen3->generation, 3u);

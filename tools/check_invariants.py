@@ -13,7 +13,8 @@ with one line per violation. Checks:
      and tests are seeded-deterministic through common/random.h (Rng).
   3. The wire verbs parsed by src/server/wire.cc and the verb table in
      docs/protocol.md must agree exactly; every STATS key the server
-     emits (src/server/net_server.cc) must be documented in protocol.md;
+     emits (BatchExecutor::StatsText in src/server/batch_executor.cc)
+     must be documented in protocol.md;
      and the QUERY option keys (MODE=..., NPROBE=..., any future
      KEY=VALUE) parsed by wire.cc and documented in protocol.md must
      agree exactly in both directions, as must the MODE values parsed in
@@ -128,9 +129,9 @@ def lint_file(path):
 # ---------------------------------------------------------------- check 3 --
 def check_wire_docs():
     wire = ROOT / "src" / "server" / "wire.cc"
-    server = ROOT / "src" / "server" / "net_server.cc"
+    stats_src = ROOT / "src" / "server" / "batch_executor.cc"
     doc = ROOT / "docs" / "protocol.md"
-    for p in (wire, server, doc):
+    for p in (wire, stats_src, doc):
         if not p.is_file():
             report(p.relative_to(ROOT).as_posix(), 1, "file missing")
             return
@@ -153,17 +154,17 @@ def check_wire_docs():
                "request table)")
 
     # Every key in the STATS response format string must be documented.
-    server_text = server.read_text(encoding="utf-8")
-    stats_fmt = re.search(r'"OK graphs=.*?"\s*,', server_text, re.S)
+    stats_text = stats_src.read_text(encoding="utf-8")
+    stats_fmt = re.search(r'"OK graphs=.*?"\s*,', stats_text, re.S)
     if not stats_fmt:
-        report("src/server/net_server.cc", 1,
+        report("src/server/batch_executor.cc", 1,
                "could not locate the STATS response format string")
         return
     emitted = set(re.findall(r"(\w+)=%", stats_fmt.group(0)))
     documented = set(re.findall(r"`(\w+)`", doc_text))
     for key in sorted(emitted - documented):
         report("docs/protocol.md", 1,
-               f"STATS key `{key}` is emitted by net_server.cc but "
+               f"STATS key `{key}` is emitted by batch_executor.cc but "
                "undocumented")
 
     # QUERY option keys: wire.cc's parser branches (key == "MODE" etc.)
