@@ -15,6 +15,9 @@
 //  - A generation swap rebuilds every shard's IVF index from the new
 //    generation's fingerprints: zero stale-bucket hits, proven by
 //    bit-comparison against a from-scratch engine at every probe width.
+//  - A MODE=approx batch answers every query exactly as the one-query
+//    entry point does, for every batch size around the scan tile width,
+//    shard count, thread count and probe width, over a churned engine.
 //  - The BatchExecutor publishes approx scan work (approx_queries,
 //    approx_candidates_scanned, approx_rows_pruned) and keys its result
 //    cache on nprobe, so different probe depths never share an entry.
@@ -31,10 +34,12 @@
 #include "common/random.h"
 #include "common/sync.h"
 #include "core/index_io.h"
+#include "core/kernels/scan_kernel.h"
 #include "graph/graph.h"
 #include "server/batch_executor.h"
 #include "server/sharded_engine.h"
 #include "server/wire.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -286,6 +291,83 @@ TEST(ApproxQueryTest, GenerationSwapRebuildsIvfWithZeroStaleBuckets) {
                                            .scan_mode = ScanMode::kApprox,
                                            .nprobe = nprobe}))
           << "q=" << q << " nprobe=" << nprobe;
+    }
+  }
+}
+
+TEST(ApproxQueryTest, BatchEqualsPerQueryAcrossTileBoundaries) {
+  // A MODE=approx batch is cut into scan tiles like a MODE=full one, so a
+  // query's probe pool, its answer or its counters landing in another
+  // query's slot would show up at some batch size around the tile width.
+  // The engine is churned first: tombstones sit in the probe pools and
+  // rows in the delta segments.
+  const Corpus corpus = ClusteredCorpus(/*seed=*/31);
+  const int tile = ActiveScanKernel().tile_width();
+  Rng rng(32);
+  std::vector<std::vector<uint8_t>> queries;
+  for (int q = 0; q < 2 * tile + 3; ++q) {
+    queries.push_back(
+        Perturb(corpus.prototypes[static_cast<size_t>(q % kClusters)],
+                /*denominator=*/10, &rng));
+  }
+  std::vector<std::vector<uint8_t>> inserts;
+  for (int i = 0; i < 25; ++i) {
+    inserts.push_back(
+        Perturb(corpus.prototypes[static_cast<size_t>(i % kClusters)],
+                /*denominator=*/12, &rng));
+  }
+  for (int shards : {1, 2, 5}) {
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      auto engine = ShardedEngine::FromIndex(IndexFor(corpus.rows),
+                                             Sharded(shards, threads));
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      testing_util::LiveRows live;
+      for (int i = 0; i < kRows; ++i) {
+        live[i] = corpus.rows[static_cast<size_t>(i)];
+      }
+      {
+        ScopedRole writer(&engine->writer_role());
+        for (int id = 0; id < kRows; id += 7) {
+          ASSERT_TRUE(engine->Remove(id).ok());
+          live.erase(id);
+        }
+        for (const std::vector<uint8_t>& bits : inserts) {
+          const Result<int> id = engine->InsertMapped(bits);
+          ASSERT_TRUE(id.ok());
+          live[*id] = bits;
+        }
+      }
+      for (int nprobe : {1, 2, kNprobeAll}) {
+        const QueryOptions options{.k = kTopK,
+                                   .scan_mode = ScanMode::kApprox,
+                                   .nprobe = nprobe};
+        for (int n : {1, tile - 1, tile, tile + 1, 2 * tile + 3}) {
+          if (n < 1) continue;
+          const std::vector<std::vector<uint8_t>> batch(
+              queries.begin(), queries.begin() + n);
+          std::vector<ServeQueryStats> stats;
+          const std::vector<Ranking> answers =
+              engine->QueryMappedBatch(batch, options, nullptr, &stats);
+          ASSERT_EQ(answers.size(), batch.size());
+          ASSERT_EQ(stats.size(), batch.size());
+          for (int i = 0; i < n; ++i) {
+            const size_t at = static_cast<size_t>(i);
+            EXPECT_EQ(answers[at], engine->QueryMapped(batch[at], options))
+                << "nprobe=" << nprobe << " n=" << n << " q=" << i;
+            if (nprobe == kNprobeAll) {
+              EXPECT_EQ(answers[at],
+                        testing_util::BruteForceTopK(batch[at], live, kTopK))
+                  << "n=" << n << " q=" << i;
+            }
+            EXPECT_TRUE(stats[at].approx);
+            EXPECT_EQ(stats[at].scanned + stats[at].rows_pruned,
+                      static_cast<int>(live.size()))
+                << "nprobe=" << nprobe << " n=" << n << " q=" << i;
+          }
+        }
+      }
     }
   }
 }
