@@ -13,15 +13,11 @@
 // block-tiled multi-query batch scan, checked bit-for-bit against scalar
 // before timing, with speedups relative to scalar. --json-out writes the
 // machine-readable form (per-kernel qps and latency percentiles, plus the
-// process's active kernel) for CI trend tracking, and additionally drives
-// the same corpus through a ShardedEngine in MODE=full vs MODE=approx
-// (default probe width), writing the QPS/recall point to
-// BENCH_approx_recall.json next to it.
+// process's active kernel). End-to-end serving numbers come from
+// perfbench/, the repository benchmark.
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,13 +27,10 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/timer.h"
-#include "core/index_io.h"
 #include "core/kernels/scan_kernel.h"
 #include "core/objective.h"
 #include "core/packed_bits.h"
 #include "core/topk.h"
-#include "graph/graph.h"
-#include "server/sharded_engine.h"
 
 namespace gdim {
 namespace {
@@ -132,13 +125,11 @@ int Main(int argc, char** argv) {
   double byte_rank_s = 1e30, packed_rank_s = 1e30, packed_topk_s = 1e30;
   double fused_topk_s = 1e30;
   std::vector<double> scores;
-  std::vector<int> row_ids(static_cast<size_t>(n));
-  std::iota(row_ids.begin(), row_ids.end(), 0);
   const auto fused_topk = [&](const std::vector<uint64_t>& q) {
     const uint64_t* ptr = q.data();
     HammingTopK selector(k, n);
     ScanTopK(packed, &ptr, 1, nullptr, 0, &selector);
-    return selector.Ranked(p, row_ids);
+    return ToRanking(selector.Hits(), p);
   };
   for (const auto& q : packed_queries) {
     packed.ScoreAll(q, &scores);
@@ -266,85 +257,6 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "\n  ]\n}\n");
     std::fclose(f);
     std::printf("# wrote %s\n", json_out.c_str());
-
-    // The approx-vs-full serving point: the same corpus behind a
-    // ShardedEngine, MODE=full against MODE=approx at the engine's default
-    // probe width. On this *uniform* corpus the IVF partition has little
-    // structure to exploit, so the recorded recall is a conservative floor
-    // (bench_approx_workload gates the clustered case); the point tracks
-    // the QPS ratio and recall over time.
-    PersistedIndex index;
-    for (int r = 0; r < p; ++r) {
-      Graph feature;
-      feature.AddVertex(static_cast<LabelId>(r));
-      index.features.push_back(feature);
-    }
-    index.db_bits = rows;
-    Result<ShardedEngine> engine =
-        ShardedEngine::FromIndex(std::move(index), ShardedOptions{});
-    GDIM_CHECK(engine.ok()) << engine.status().ToString();
-    double full_s = 1e30, approx_s = 1e30;
-    std::vector<Ranking> full_answers(queries.size());
-    std::vector<Ranking> approx_answers(queries.size());
-    long long scanned = 0;
-    for (int rep = 0; rep < repeat; ++rep) {
-      WallTimer timer;
-      for (size_t q = 0; q < queries.size(); ++q) {
-        full_answers[q] = engine->QueryMapped(
-            queries[q], {.k = k, .scan_mode = ScanMode::kFull});
-      }
-      full_s = std::min(full_s, timer.Seconds());
-      timer.Reset();
-      long long rep_scanned = 0;
-      for (size_t q = 0; q < queries.size(); ++q) {
-        ServeQueryStats stats;
-        approx_answers[q] = engine->QueryMapped(
-            queries[q], {.k = k, .scan_mode = ScanMode::kApprox}, &stats);
-        rep_scanned += stats.scanned;
-      }
-      approx_s = std::min(approx_s, timer.Seconds());
-      scanned = rep_scanned;
-    }
-    double recall_sum = 0.0;
-    for (size_t q = 0; q < queries.size(); ++q) {
-      std::set<int> full_ids;
-      for (const RankedResult& r : full_answers[q]) full_ids.insert(r.id);
-      int hits = 0;
-      for (const RankedResult& r : approx_answers[q]) {
-        hits += full_ids.count(r.id) != 0 ? 1 : 0;
-      }
-      recall_sum += full_answers[q].empty()
-                        ? 1.0
-                        : static_cast<double>(hits) /
-                              static_cast<double>(full_answers[q].size());
-    }
-    const double recall = recall_sum / qn;
-    const double scan_frac =
-        static_cast<double>(scanned) / (qn * static_cast<double>(n));
-    const size_t slash = json_out.find_last_of('/');
-    const std::string approx_out =
-        (slash == std::string::npos ? std::string()
-                                    : json_out.substr(0, slash + 1)) +
-        "BENCH_approx_recall.json";
-    std::FILE* af = std::fopen(approx_out.c_str(), "w");
-    if (af == nullptr) {
-      std::fprintf(stderr, "error: cannot open %s for writing\n",
-                   approx_out.c_str());
-      return 1;
-    }
-    std::fprintf(af,
-                 "{\n  \"bench\": \"approx_recall\",\n"
-                 "  \"n\": %d, \"p\": %d, \"queries\": %d, \"k\": %d,\n"
-                 "  \"ivf_buckets\": %d,\n"
-                 "  \"full_qps\": %.1f, \"approx_qps\": %.1f,\n"
-                 "  \"speedup\": %.2f, \"recall_at_k\": %.4f,\n"
-                 "  \"scan_frac\": %.4f\n}\n",
-                 n, p, num_queries, k, engine->ivf_buckets(), qn / full_s,
-                 qn / approx_s, full_s / approx_s, recall, scan_frac);
-    std::fclose(af);
-    std::printf("# wrote %s (approx %.0f qps vs full %.0f qps, "
-                "recall@%d %.3f)\n",
-                approx_out.c_str(), qn / approx_s, qn / full_s, k, recall);
   }
   return 0;
 }

@@ -92,11 +92,14 @@ Result<GraphSearchIndex> GraphSearchIndex::Build(const GraphDatabase& db,
 }
 
 Ranking GraphSearchIndex::Query(const Graph& q, int k) const {
-  // Packed scan + partial top-k selection; identical output order to
-  // TopK(MappedRanking(...), k) without the full n·log n sort.
-  std::vector<double> scores;
-  packed_bits_.ScoreAll(packed_bits_.PackQuery(MapQuery(q)), &scores);
-  return TopKByScores(scores, k);
+  // The serving scan's fused integer top-k (row ids are the graph ids):
+  // identical output order to TopK(MappedRanking(...), k) without scoring
+  // every row or sorting the database.
+  const std::vector<uint64_t> query = packed_bits_.PackQuery(MapQuery(q));
+  const uint64_t* words = query.data();
+  HammingTopK selector(k, packed_bits_.num_rows());
+  ScanTopK(packed_bits_, &words, 1, nullptr, 0, &selector);
+  return ToRanking(selector.Hits(), packed_bits_.num_bits());
 }
 
 Ranking GraphSearchIndex::QueryExact(const Graph& q, int k) const {

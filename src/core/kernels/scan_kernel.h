@@ -28,7 +28,8 @@ class ScanKernel {
   virtual const char* name() const = 0;
 
   /// Preferred number of concurrent queries per row-block pass — how wide
-  /// the engines tile QueryMappedBatch. Sized so the per-query accumulators
+  /// ShardedEngine's one scan path cuts every query batch into tiles (a
+  /// single query is a tile of one). Sized so the per-query accumulators
   /// plus one row vector stay in registers.
   virtual int tile_width() const = 0;
 

@@ -66,29 +66,38 @@ HammingTopK::HammingTopK(int k, int max_rows)
 
 void HammingTopK::Admit(uint32_t dist, int row) {
   if (heap_.size() < k_) {
-    heap_.push_back(Entry{dist, row});
+    heap_.push_back(HammingHit{dist, row});
     std::push_heap(heap_.begin(), heap_.end());
     if (heap_.size() < k_) return;
   } else {
     // Full: the offered row beats the worst kept one; replace it.
     std::pop_heap(heap_.begin(), heap_.end());
-    heap_.back() = Entry{dist, row};
+    heap_.back() = HammingHit{dist, row};
     std::push_heap(heap_.begin(), heap_.end());
   }
   threshold_ = heap_.front().dist;
 }
 
-Ranking HammingTopK::Ranked(int num_bits,
-                            const std::vector<int>& row_ids) const {
-  std::vector<Entry> kept = heap_;
+HammingHits HammingTopK::Hits() const {
+  HammingHits kept = heap_;
   std::sort(kept.begin(), kept.end());
+  return kept;
+}
+
+HammingHits HammingTopK::Hits(const std::vector<int>& row_ids) const {
+  HammingHits hits = Hits();
+  for (HammingHit& hit : hits) hit.id = row_ids[static_cast<size_t>(hit.id)];
+  return hits;
+}
+
+Ranking ToRanking(const HammingHits& hits, int num_bits) {
   Ranking top;
-  top.reserve(kept.size());
+  top.reserve(hits.size());
   const double p = static_cast<double>(num_bits);
-  for (const Entry& e : kept) {
+  for (const HammingHit& hit : hits) {
     const double score =
-        num_bits == 0 ? 0.0 : std::sqrt(static_cast<double>(e.dist) / p);
-    top.push_back(RankedResult{row_ids[static_cast<size_t>(e.row)], score});
+        num_bits == 0 ? 0.0 : std::sqrt(static_cast<double>(hit.dist) / p);
+    top.push_back(RankedResult{hit.id, score});
   }
   return top;
 }

@@ -35,6 +35,29 @@ Ranking RankByScores(const std::vector<double>& scores);
 /// TopK(RankByScores(scores), k) entry for entry.
 Ranking TopKByScores(const std::vector<double>& scores, int k);
 
+/// One integer survivor of the serving scan: a Hamming distance and the
+/// row it belongs to — a physical row inside a HammingTopK, an external id
+/// once a shard has lifted it. Ordered by (distance, id), which is the
+/// (score, id) order of the ranking it becomes.
+struct HammingHit {
+  uint32_t dist = 0;
+  int id = 0;
+
+  friend bool operator<(const HammingHit& a, const HammingHit& b) {
+    return a.dist != b.dist ? a.dist < b.dist : a.id < b.id;
+  }
+  friend bool operator==(const HammingHit& a, const HammingHit& b) = default;
+};
+
+/// Survivors ascending by (distance, id).
+using HammingHits = std::vector<HammingHit>;
+
+/// Converts survivors to a ranking, each distance once to sqrt(d / p)
+/// (score 0 when num_bits is 0, like PackedBitMatrix::NormalizedDistance).
+/// The conversion is strictly monotone in d for a shared p, so the order is
+/// kept.
+Ranking ToRanking(const HammingHits& hits, int num_bits);
+
 /// Bounded top-k over integer (Hamming distance, physical row) pairs: the
 /// selection half of the serving scan, which never materializes a score
 /// per row. Rows must be offered in strictly ascending order. A max-heap of
@@ -46,8 +69,8 @@ Ranking TopKByScores(const std::vector<double>& scores, int k);
 ///
 /// sqrt(d / p) is strictly monotone in the integer d, so ordering by
 /// (d, row) is ordering by (score, row); whenever external ids ascend with
-/// physical rows (as every engine guarantees) Ranked() equals
-/// TopK(RankByScores(scores), k) over the offered rows, bit for bit.
+/// physical rows (as every engine guarantees) ToRanking(Hits(row_ids), p)
+/// equals TopK(RankByScores(scores), k) over the offered rows, bit for bit.
 class HammingTopK {
  public:
   /// k <= 0 keeps nothing. max_rows bounds how many rows will be offered;
@@ -58,28 +81,22 @@ class HammingTopK {
     if (dist < threshold_) Admit(dist, row);
   }
 
-  /// The survivors ascending by (distance, row), each converted once to
-  /// RankedResult{row_ids[row], sqrt(distance / num_bits)} (score 0 when
-  /// num_bits is 0, like PackedBitMatrix::NormalizedDistance).
-  Ranking Ranked(int num_bits, const std::vector<int>& row_ids) const;
+  /// The survivors ascending by (distance, row); HammingHit::id is the
+  /// physical row.
+  HammingHits Hits() const;
+
+  /// Hits() with each row lifted to its external id row_ids[row]; the
+  /// order is kept because ids ascend with rows.
+  HammingHits Hits(const std::vector<int>& row_ids) const;
 
  private:
-  struct Entry {
-    uint32_t dist;
-    int row;
-
-    friend bool operator<(const Entry& a, const Entry& b) {
-      return a.dist != b.dist ? a.dist < b.dist : a.row < b.row;
-    }
-  };
-
   void Admit(uint32_t dist, int row);
 
   size_t k_;
   /// Offered distances strictly below this enter: the worst kept distance
   /// once k rows are kept, no limit before, and 0 (nothing) when k is 0.
   uint32_t threshold_;
-  std::vector<Entry> heap_;  ///< max-heap by (dist, row)
+  HammingHits heap_;  ///< max-heap by (dist, row)
 };
 
 /// The fused scan + select: scores every row of `rows` against num_queries

@@ -223,28 +223,33 @@ int QueryEngine::FindLiveRow(int id) const {
   return tombstones_[static_cast<size_t>(row)] == 0 ? row : -1;
 }
 
-std::vector<Ranking> QueryEngine::FullTopK(const uint64_t* const* queries,
-                                           int count, int k) const {
+std::vector<HammingHits> QueryEngine::FullTopK(
+    const std::vector<uint64_t>* queries, int count, int k) const {
+  std::vector<const uint64_t*> words(static_cast<size_t>(count));
+  for (int q = 0; q < count; ++q) {
+    words[static_cast<size_t>(q)] = queries[q].data();
+  }
   // Base rows, then delta rows: physical rows ascend across the two scans,
   // as HammingTopK requires. Tombstones are skipped inside the block loop.
   const int base_n = base_->num_rows();
   const uint8_t* skip = num_tombstones_ > 0 ? tombstones_.data() : nullptr;
   std::vector<HammingTopK> selectors(static_cast<size_t>(count),
                                      HammingTopK(k, alive_));
-  ScanTopK(*base_, queries, count, skip, 0, selectors.data());
-  ScanTopK(delta_, queries, count, skip == nullptr ? nullptr : skip + base_n,
-           base_n, selectors.data());
-  std::vector<Ranking> results;
-  results.reserve(static_cast<size_t>(count));
+  ScanTopK(*base_, words.data(), count, skip, 0, selectors.data());
+  ScanTopK(delta_, words.data(), count,
+           skip == nullptr ? nullptr : skip + base_n, base_n,
+           selectors.data());
+  std::vector<HammingHits> hits;
+  hits.reserve(static_cast<size_t>(count));
   for (const HammingTopK& selector : selectors) {
-    results.push_back(selector.Ranked(num_features(), row_ids_));
+    hits.push_back(selector.Hits(row_ids_));
   }
-  return results;
+  return hits;
 }
 
-Ranking QueryEngine::CandidateTopK(const std::vector<uint64_t>& packed_query,
-                                   const std::vector<int>& rows,
-                                   int k) const {
+HammingHits QueryEngine::CandidateTopK(
+    const std::vector<uint64_t>& packed_query, const std::vector<int>& rows,
+    int k) const {
   // Candidate lists are ascending and live, so base rows form a prefix and
   // delta rows a suffix, offered in the order HammingTopK requires.
   HammingTopK selector(k, static_cast<int>(rows.size()));
@@ -255,54 +260,48 @@ Ranking QueryEngine::CandidateTopK(const std::vector<uint64_t>& packed_query,
                      : delta_.HammingDistance(packed_query, row - base_n);
     selector.Offer(static_cast<uint32_t>(dist), row);
   }
-  return selector.Ranked(num_features(), row_ids_);
+  return selector.Hits(row_ids_);
 }
 
-Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
-                                 const QueryOptions& options,
-                                 ServeQueryStats* stats) const {
+std::vector<HammingHits> QueryEngine::ScanPacked(
+    const std::vector<uint64_t>* queries, int count,
+    const QueryOptions& options, ServeQueryStats* stats) const {
   // A malformed k must not abort the serving process; k < 0 answers like
   // k == 0 (empty ranking). The tool boundary additionally rejects it.
   const int k = std::max(options.k, 0);
-  WallTimer timer;
-
-  const std::vector<uint64_t> packed_query = base_->PackQuery(fingerprint);
-
+  if (options.scan_mode != ScanMode::kApprox) {
+    for (int q = 0; q < count; ++q) stats[q].scanned += total_rows();
+    return FullTopK(queries, count, k);
+  }
   // Stage 2 runs only under MODE=approx: the IVF probe collects the live
   // members of the nprobe nearest centroid buckets, and stage 3 then
   // exact-scores exactly those rows. The answer differs from kFull only by
   // rows the probe pruned — at NPROBE=all nothing is pruned, the pool is
   // precisely the live rows, and the ranking is bit-identical to a full
-  // scan. Stage 3 is the fused popcount scan + integer top-k; selection
-  // runs over physical rows, which ascend with external ids, so the
-  // score-then-id tie-break is preserved.
-  const bool approx = options.scan_mode == ScanMode::kApprox;
-  Ranking top;
-  int scanned;
-  double ivf_probe_usec = 0.0;
-  if (approx) {
-    const int nprobe =
-        options.nprobe > 0 ? options.nprobe : ivf_.default_nprobe();
+  // scan. Each query has its own pool, so queries share no row passes.
+  const int nprobe =
+      options.nprobe > 0 ? options.nprobe : ivf_.default_nprobe();
+  std::vector<HammingHits> hits;
+  hits.reserve(static_cast<size_t>(count));
+  for (int q = 0; q < count; ++q) {
     WallTimer probe_timer;
     const std::vector<int> candidates =
-        ivf_.Probe(packed_query, nprobe, tombstones_);
-    ivf_probe_usec = probe_timer.Micros();
-    top = CandidateTopK(packed_query, candidates, k);
-    scanned = static_cast<int>(candidates.size());
-  } else {
-    const uint64_t* query = packed_query.data();
-    top = std::move(FullTopK(&query, 1, k).front());
-    scanned = total_rows();
+        ivf_.Probe(queries[q], nprobe, tombstones_);
+    stats[q].ivf_probe_usec += probe_timer.Micros();
+    const int scanned = static_cast<int>(candidates.size());
+    stats[q].scanned += scanned;
+    stats[q].rows_pruned += alive_ - scanned;
+    hits.push_back(CandidateTopK(queries[q], candidates, k));
   }
+  return hits;
+}
 
-  if (stats != nullptr) {
-    stats->latency_ms = timer.Millis();
-    stats->scanned = scanned;
-    stats->approx = approx;
-    stats->rows_pruned = approx ? alive_ - scanned : 0;
-    stats->ivf_probe_usec = ivf_probe_usec;
-  }
-  return top;
+Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
+                                 const QueryOptions& options) const {
+  const std::vector<uint64_t> packed_query = base_->PackQuery(fingerprint);
+  ServeQueryStats stats;
+  return ToRanking(ScanPacked(&packed_query, 1, options, &stats).front(),
+                   num_features());
 }
 
 void FillServeBatchReport(double wall_ms,
@@ -338,36 +337,6 @@ void FillServeBatchReport(double wall_ms,
     }
   }
   report->latency_ms = SummarizeLatencies(std::move(latencies));
-}
-
-std::vector<Ranking> QueryEngine::QueryMappedTile(
-    const std::vector<uint8_t>* fingerprints, int count,
-    const QueryOptions& options, std::vector<ServeQueryStats>* stats) const {
-  const int k = std::max(options.k, 0);
-  WallTimer timer;
-  if (stats != nullptr) {
-    stats->assign(static_cast<size_t>(std::max(count, 0)),
-                  ServeQueryStats{});
-  }
-  if (count <= 0) return {};
-
-  std::vector<std::vector<uint64_t>> packed(static_cast<size_t>(count));
-  std::vector<const uint64_t*> query_ptrs(static_cast<size_t>(count));
-  for (int q = 0; q < count; ++q) {
-    packed[static_cast<size_t>(q)] = base_->PackQuery(fingerprints[q]);
-    query_ptrs[static_cast<size_t>(q)] = packed[static_cast<size_t>(q)].data();
-  }
-  std::vector<Ranking> results = FullTopK(query_ptrs.data(), count, k);
-
-  if (stats != nullptr) {
-    const double tile_ms = timer.Millis();
-    for (int q = 0; q < count; ++q) {
-      ServeQueryStats& s = (*stats)[static_cast<size_t>(q)];
-      s.latency_ms = tile_ms;
-      s.scanned = total_rows();
-    }
-  }
-  return results;
 }
 
 }  // namespace gdim

@@ -19,11 +19,11 @@ namespace gdim {
 
 /// Engine-wide serving knobs, fixed at load time.
 struct ServeOptions {
-  /// Worker threads of the owning ShardedEngine: the scatter pool of one
-  /// query and the per-tile pool of a batch, and MapAll's fingerprinting;
-  /// 0 = DefaultThreadCount(). Results are identical for every thread count
-  /// (queries are independent and each query selects in HammingTopK's
-  /// deterministic (distance, row) order).
+  /// Worker threads of the owning ShardedEngine: the pool its scan tiles
+  /// run on (shards run in turn inside a tile) and MapAll's
+  /// fingerprinting; 0 = DefaultThreadCount(). Results are identical for
+  /// every thread count (queries are independent and each query selects in
+  /// HammingTopK's deterministic (distance, row) order).
   int threads = 0;
 
   /// Bucket count of the IVF candidate-pruning index behind ScanMode::
@@ -44,14 +44,14 @@ struct ServeQueryStats {
   /// approximate mode saved relative to a full scan of the live set.
   int rows_pruned = 0;
   /// Stage timings for the observability layer, microseconds; 0 when the
-  /// stage did not run. On a sharded engine ivf_probe_usec sums the shard
-  /// probes (like `scanned`) and gather_usec times the k-way merge.
+  /// stage did not run. ivf_probe_usec sums the shard probes (like
+  /// `scanned`) and gather_usec times the k-way merge.
   double ivf_probe_usec = 0.0;
   double gather_usec = 0.0;
   /// One sample per per-shard scan pass this query rode (the shard's wall
-  /// time for its stage 2–3 work). Filled only by the sharded engine — a
-  /// tiled scan attributes its per-shard passes to the tile's first query,
-  /// so the sample count matches the passes actually run.
+  /// time for its stage 2–3 work over the query's tile). A tile's passes
+  /// are attributed to its first query, so the sample count matches the
+  /// passes actually run.
   std::vector<double> shard_scan_usec;
 };
 
@@ -124,8 +124,9 @@ PersistedIvf PersistIvf(const IvfIndex& ivf,
 ///      a bounded heap per query selects on the kernel's uint32 counts
 ///      inside the row-block loop, and only the k survivors are converted
 ///      to sqrt(d / p) scores.
-/// Stage 1 (VF2 fingerprinting onto the selected dimension) runs once per
-/// query in the owning engine. No MCS computation runs at query time, which
+/// Stage 1 (VF2 fingerprinting onto the selected dimension) and the query
+/// packing run once per query in the owning engine, which hands every
+/// shard the same packed words (ScanPacked). No MCS computation runs at query time, which
 /// is the paper's whole online-search proposition.
 ///
 /// The shard is *mutable*: its rows are a sealed base segment plus an
@@ -176,10 +177,10 @@ class QueryEngine {
 
   /// Stages 2–3 for one mapped fingerprint over this shard's rows: top-k
   /// ids + normalized mapped distances, ascending score with id tie-break.
-  /// Width must equal num_features().
+  /// Width must equal num_features(). PackQuery plus the shard pass
+  /// (ScanPacked) the owning engine runs.
   Ranking QueryMapped(const std::vector<uint8_t>& fingerprint,
-                      const QueryOptions& options,
-                      ServeQueryStats* stats = nullptr) const;
+                      const QueryOptions& options) const;
 
  private:
   friend class ShardedEngine;
@@ -223,37 +224,33 @@ class QueryEngine {
   /// generation swap.
   void RaiseEpochToAtLeast(uint64_t epoch);
 
-  /// Full-scan stage 3 for a contiguous tile of `count` pre-mapped
-  /// fingerprints, scored together: every row block is loaded once and
-  /// XORed against all `count` queries while cache-resident, and each
-  /// query's top-k heap consumes the block's counts before the next block
-  /// is scanned (the multi-query path behind ShardedEngine::
-  /// QueryMappedBatch). results[q] / (*stats)[q] correspond to
-  /// fingerprints[q]; each equals QueryMapped(fingerprints[q],
-  /// {.k = options.k, .scan_mode = ScanMode::kFull}) bit for bit. Per-query
-  /// latency_ms reports the tile's wall time (each query waited for the
-  /// shared pass).
-  std::vector<Ranking> QueryMappedTile(
-      const std::vector<uint8_t>* fingerprints, int count,
-      const QueryOptions& options,
-      std::vector<ServeQueryStats>* stats = nullptr) const;
-
   int total_rows() const { return base_->num_rows() + delta_.num_rows(); }
 
   /// Physical row of a live external id, or -1.
   int FindLiveRow(int id) const;
 
+  /// The shard pass: stages 2–3 for `count` packed queries (PackQuery
+  /// form) over this shard's live rows. hits[q] answers queries[q] with its
+  /// top-k survivors as (Hamming distance, external id), ascending.
+  /// MODE=full scores the whole tile in one row-block pass (FullTopK);
+  /// MODE=approx probes the IVF index per query and scores that candidate
+  /// pool (CandidateTopK). Adds this shard's scanned / rows_pruned /
+  /// ivf_probe_usec into stats[q].
+  std::vector<HammingHits> ScanPacked(const std::vector<uint64_t>* queries,
+                                      int count, const QueryOptions& options,
+                                      ServeQueryStats* stats) const;
+
   /// Stage 3 over every live row for `count` packed queries at once: the
   /// fused scan + integer top-k (ScanTopK) over base then delta, tombstones
-  /// skipped in the block loop. results[q] answers queries[q]; scratch is
-  /// O(k + count × kScanBlockRows), nothing proportional to the rows.
-  std::vector<Ranking> FullTopK(const uint64_t* const* queries, int count,
-                                int k) const;
+  /// skipped in the block loop. Scratch is O(k + count × kScanBlockRows),
+  /// nothing proportional to the rows.
+  std::vector<HammingHits> FullTopK(const std::vector<uint64_t>* queries,
+                                    int count, int k) const;
 
   /// Stage 3 over an ascending list of live candidate rows (the IVF probe
   /// pool of MODE=approx), selected on integer distances.
-  Ranking CandidateTopK(const std::vector<uint64_t>& packed_query,
-                        const std::vector<int>& rows, int k) const;
+  HammingHits CandidateTopK(const std::vector<uint64_t>& packed_query,
+                            const std::vector<int>& rows, int k) const;
 
   /// Sealed segment. Held by shared_ptr and treated as immutable — Compact
   /// installs a fresh matrix instead of mutating — so Freeze() can clone it

@@ -588,7 +588,7 @@ std::vector<std::function<void()>> BatchExecutor::Execute(
   const double cache_usec = cache_ != nullptr ? cache_timer.Micros() : 0.0;
   if (cache_ != nullptr) h_cache_probe_->Record(cache_usec);
 
-  // Scatter the misses. Requests may carry different options, so scans go
+  // Scan the misses. Requests may carry different options, so scans go
   // per equal-options span of the miss list; one closed-loop workload
   // almost always lands in a single span.
   std::vector<double> span_usec(batch->size(), 0.0);

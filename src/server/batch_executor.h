@@ -37,7 +37,7 @@ struct BatchExecutorOptions {
   int max_batch = 64;
 
   /// Byte budget of the epoch-versioned query result cache consulted before
-  /// every scatter (see server/result_cache.h). 0 disables caching. Hits
+  /// every scan (see server/result_cache.h). 0 disables caching. Hits
   /// are bit-identical to cold queries at the same epoch; any mutation
   /// invalidates by epoch bump, so the cache never changes an answer.
   size_t cache_bytes = 0;
@@ -99,7 +99,7 @@ struct ReindexReport {
 /// thread so queries keep flowing (see Snapshot()).
 ///
 /// With cache_bytes > 0 the dispatcher consults an epoch-versioned result
-/// cache after the stage-1 mapping and before the scatter: repeated
+/// cache after the stage-1 mapping and before the scan: repeated
 /// fingerprints at an unchanged epoch skip the scan entirely, and every
 /// miss populates the cache after the gather. Epoch keying makes hits
 /// bit-identical to cold queries — the FIFO order means a mutation has

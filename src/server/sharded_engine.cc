@@ -14,32 +14,37 @@ namespace gdim {
 
 namespace {
 
-/// Deterministic k-way gather: every partial is sorted ascending by
-/// (score, id), ids are globally unique, so repeatedly taking the smallest
-/// head reproduces the single-engine total order exactly.
-Ranking MergeTopK(const std::vector<Ranking>& partials, int k) {
-  Ranking out;
+/// Deterministic k-way gather on integers: every partial is ascending by
+/// (Hamming distance, id) and ids are globally unique, so repeatedly taking
+/// the smallest head reproduces the one-shard total order exactly.
+HammingHits MergeTopK(const std::vector<HammingHits>& partials, int k) {
+  HammingHits out;
   if (k <= 0) return out;
   size_t total = 0;
-  for (const Ranking& p : partials) total += p.size();
+  for (const HammingHits& p : partials) total += p.size();
   out.reserve(std::min(static_cast<size_t>(k), total));
   std::vector<size_t> cursor(partials.size(), 0);
   while (static_cast<int>(out.size()) < k) {
     size_t best = partials.size();
     for (size_t s = 0; s < partials.size(); ++s) {
       if (cursor[s] >= partials[s].size()) continue;
-      if (best == partials.size()) {
+      if (best == partials.size() ||
+          partials[s][cursor[s]] < partials[best][cursor[best]]) {
         best = s;
-        continue;
       }
-      const RankedResult& c = partials[s][cursor[s]];
-      const RankedResult& b = partials[best][cursor[best]];
-      if (c.score < b.score || (c.score == b.score && c.id < b.id)) best = s;
     }
     if (best == partials.size()) break;  // every partial exhausted
     out.push_back(partials[best][cursor[best]++]);
   }
   return out;
+}
+
+/// The batch report and per-query stats of a finished batch entry point.
+void FinishBatch(double wall_ms, std::vector<ServeQueryStats> stats,
+                 ServeBatchReport* report,
+                 std::vector<ServeQueryStats>* per_query) {
+  if (report != nullptr) FillServeBatchReport(wall_ms, stats, report);
+  if (per_query != nullptr) *per_query = std::move(stats);
 }
 
 /// Every shard's live (id, words) rows merged into one ascending-id stream;
@@ -369,59 +374,67 @@ Status ShardedEngine::WriteSnapshot(const FrozenShardedState& frozen,
       sections, path);
 }
 
-Ranking ShardedEngine::ScatterGather(const std::vector<uint8_t>& fingerprint,
-                                     const QueryOptions& options,
-                                     ServeQueryStats* stats,
-                                     int scatter_threads) const {
-  const int k = options.k;
-  WallTimer timer;
-  const int n_shards = num_shards();
-
-  std::vector<Ranking> partials(static_cast<size_t>(n_shards));
-  std::vector<ServeQueryStats> shard_stats(static_cast<size_t>(n_shards));
-  // The options travel to every shard as-is. kApprox: each shard probes
-  // its own IVF index with the same nprobe, so the gather merges per-shard
-  // approximate top-k lists; at kNprobeAll every shard's candidate set is
-  // its full live set and the merge is bit-identical to kFull.
-  ParallelScatter(
-      n_shards,
-      [&](int s) {
-        const size_t i = static_cast<size_t>(s);
-        partials[i] =
-            shards_[i].QueryMapped(fingerprint, options, &shard_stats[i]);
+void ShardedEngine::Scan(const std::vector<uint8_t>* fingerprints, int count,
+                         const QueryOptions& options, Ranking* results,
+                         ServeQueryStats* stats) const {
+  // Cut the batch into tiles of the active kernel's width. Inside a tile
+  // every shard in turn runs one pass over the tile's packed queries (a
+  // MODE=full pass loads each row block once for all of them), then each
+  // query's integer survivors are merged across shards. The merge is the
+  // same deterministic k-way MergeTopK for every tile split, shard count
+  // and kernel, so answers never depend on how the batch was cut.
+  const bool approx = options.scan_mode == ScanMode::kApprox;
+  const int num_bits = num_features();
+  const int tile = ActiveScanKernel().tile_width();
+  const int num_tiles = (count + tile - 1) / tile;
+  ParallelFor(
+      0, num_tiles,
+      [&](int t) {
+        const int begin = t * tile;
+        const int n = std::min(tile, count - begin);
+        WallTimer tile_timer;
+        // Each ParallelFor iteration owns its tile's result and stats
+        // slots, so no slot is written by two threads.
+        ServeQueryStats* tile_stats = stats + begin;
+        std::vector<std::vector<uint64_t>> packed;
+        packed.reserve(static_cast<size_t>(n));
+        for (int q = 0; q < n; ++q) {
+          packed.push_back(
+              shards_.front().base_->PackQuery(fingerprints[begin + q]));
+          tile_stats[q] = ServeQueryStats{};
+          tile_stats[q].approx = approx;
+        }
+        std::vector<std::vector<HammingHits>> partials(
+            static_cast<size_t>(n), std::vector<HammingHits>(shards_.size()));
+        // One scan sample per shard pass, on the tile's first query.
+        tile_stats[0].shard_scan_usec.reserve(shards_.size());
+        for (size_t s = 0; s < shards_.size(); ++s) {
+          WallTimer pass_timer;
+          std::vector<HammingHits> hits =
+              shards_[s].ScanPacked(packed.data(), n, options, tile_stats);
+          tile_stats[0].shard_scan_usec.push_back(pass_timer.Micros());
+          for (int q = 0; q < n; ++q) {
+            partials[static_cast<size_t>(q)][s] =
+                std::move(hits[static_cast<size_t>(q)]);
+          }
+        }
+        for (int q = 0; q < n; ++q) {
+          WallTimer gather_timer;
+          results[begin + q] = ToRanking(
+              MergeTopK(partials[static_cast<size_t>(q)], options.k),
+              num_bits);
+          tile_stats[q].gather_usec = gather_timer.Micros();
+        }
+        const double tile_ms = tile_timer.Millis();
+        for (int q = 0; q < n; ++q) tile_stats[q].latency_ms = tile_ms;
       },
-      scatter_threads);
-  WallTimer gather_timer;
-  Ranking merged = MergeTopK(partials, k);
-  const double gather_usec = gather_timer.Micros();
-  if (stats != nullptr) {
-    stats->latency_ms = timer.Millis();
-    stats->scanned = 0;
-    stats->rows_pruned = 0;
-    stats->ivf_probe_usec = 0.0;
-    // Per-shard stage samples, collected in this serial tail (after the
-    // scatter join) so no shard writes a shared slot concurrently.
-    stats->shard_scan_usec.clear();
-    stats->shard_scan_usec.reserve(static_cast<size_t>(n_shards));
-    for (int s = 0; s < n_shards; ++s) {
-      stats->scanned += shard_stats[static_cast<size_t>(s)].scanned;
-      stats->rows_pruned += shard_stats[static_cast<size_t>(s)].rows_pruned;
-      stats->ivf_probe_usec +=
-          shard_stats[static_cast<size_t>(s)].ivf_probe_usec;
-      stats->shard_scan_usec.push_back(
-          shard_stats[static_cast<size_t>(s)].latency_ms * 1e3);
-    }
-    stats->approx = options.scan_mode == ScanMode::kApprox;
-    stats->gather_usec = gather_usec;
-  }
-  return merged;
+      options_.serve.threads);
 }
 
 Ranking ShardedEngine::Query(const Graph& query, const QueryOptions& options,
                              ServeQueryStats* stats) const {
   WallTimer timer;
-  Ranking top = ScatterGather(mapper_.Map(query), options, stats,
-                              options_.serve.threads);
+  Ranking top = QueryMapped(mapper_.Map(query), options, stats);
   if (stats != nullptr) stats->latency_ms = timer.Millis();  // include VF2
   return top;
 }
@@ -429,87 +442,10 @@ Ranking ShardedEngine::Query(const Graph& query, const QueryOptions& options,
 Ranking ShardedEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
                                    const QueryOptions& options,
                                    ServeQueryStats* stats) const {
-  return ScatterGather(fingerprint, options, stats, options_.serve.threads);
-}
-
-void ShardedEngine::ScanMappedBatch(
-    const std::vector<std::vector<uint8_t>>& fingerprints,
-    const QueryOptions& options, std::vector<Ranking>* results,
-    std::vector<ServeQueryStats>* stats) const {
-  const int n = static_cast<int>(fingerprints.size());
-  if (options.scan_mode == ScanMode::kApprox) {
-    // The IVF probe yields a per-query candidate pool, so queries cannot
-    // share row passes: one pool over queries, each scattering over shards
-    // serially (no nested pools). The tiled path below scans every row,
-    // which would silently ignore the probe.
-    ParallelFor(
-        0, n,
-        [&](int i) {
-          WallTimer query_timer;
-          (*results)[static_cast<size_t>(i)] =
-              ScatterGather(fingerprints[static_cast<size_t>(i)], options,
-                            &(*stats)[static_cast<size_t>(i)], 1);
-          (*stats)[static_cast<size_t>(i)].latency_ms = query_timer.Millis();
-        },
-        options_.serve.threads);
-    return;
-  }
-  // Block-tiled multi-query path: cut the batch into tiles of the active
-  // kernel's width and let every shard score a whole tile per row-block
-  // pass (QueryEngine::QueryMappedTile), then gather-merge per query. The
-  // merge is the same deterministic k-way MergeTopK as the scatter path, so
-  // answers are bit-identical to one-query-at-a-time scattering for every
-  // tile split, shard count, and kernel.
-  const int tile = ActiveScanKernel().tile_width();
-  const int num_tiles = tile > 0 ? (n + tile - 1) / tile : 0;
-  ParallelFor(
-      0, num_tiles,
-      [&](int t) {
-        const int begin = t * tile;
-        const int count = std::min(tile, n - begin);
-        WallTimer tile_timer;
-        std::vector<std::vector<Ranking>> partials(shards_.size());
-        std::vector<std::vector<ServeQueryStats>> shard_stats(
-            shards_.size());
-        for (size_t s = 0; s < shards_.size(); ++s) {
-          partials[s] = shards_[s].QueryMappedTile(
-              fingerprints.data() + begin, count, options, &shard_stats[s]);
-        }
-        for (int q = 0; q < count; ++q) {
-          std::vector<Ranking> per_shard;
-          per_shard.reserve(shards_.size());
-          for (size_t s = 0; s < shards_.size(); ++s) {
-            per_shard.push_back(
-                std::move(partials[s][static_cast<size_t>(q)]));
-          }
-          WallTimer gather_timer;
-          (*results)[static_cast<size_t>(begin + q)] =
-              MergeTopK(per_shard, options.k);
-          (*stats)[static_cast<size_t>(begin + q)].gather_usec =
-              gather_timer.Micros();
-        }
-        const double tile_ms = tile_timer.Millis();
-        for (int q = 0; q < count; ++q) {
-          ServeQueryStats& s = (*stats)[static_cast<size_t>(begin + q)];
-          s.latency_ms = tile_ms;
-          s.scanned = 0;
-          for (size_t sh = 0; sh < shards_.size(); ++sh) {
-            s.scanned += shard_stats[sh][static_cast<size_t>(q)].scanned;
-          }
-        }
-        // One scan sample per per-shard tile pass, attributed to the tile's
-        // first query (QueryMappedTile reports the pass's wall time in every
-        // query's latency slot) — each ParallelFor iteration owns its tile's
-        // stats slots, so no cross-thread writes.
-        ServeQueryStats& first = (*stats)[static_cast<size_t>(begin)];
-        first.shard_scan_usec.clear();
-        first.shard_scan_usec.reserve(shards_.size());
-        for (size_t sh = 0; sh < shards_.size(); ++sh) {
-          first.shard_scan_usec.push_back(shard_stats[sh][0].latency_ms *
-                                          1e3);
-        }
-      },
-      options_.serve.threads);
+  Ranking top;
+  ServeQueryStats local;
+  Scan(&fingerprint, 1, options, &top, stats != nullptr ? stats : &local);
+  return top;
 }
 
 std::vector<Ranking> ShardedEngine::QueryBatch(
@@ -517,15 +453,12 @@ std::vector<Ranking> ShardedEngine::QueryBatch(
     ServeBatchReport* report,
     std::vector<ServeQueryStats>* per_query) const {
   WallTimer batch_timer;
-  std::vector<Ranking> results(queries.size());
-  std::vector<ServeQueryStats> stats(queries.size());
   // One stage-1 pass over the whole batch, then packed scans only.
-  const std::vector<std::vector<uint8_t>> fingerprints =
-      mapper_.MapAll(queries, options_.serve.threads);
-  ScanMappedBatch(fingerprints, options, &results, &stats);
-  const double wall_ms = batch_timer.Millis();
-  if (report != nullptr) FillServeBatchReport(wall_ms, stats, report);
-  if (per_query != nullptr) *per_query = std::move(stats);
+  std::vector<ServeQueryStats> stats;
+  std::vector<Ranking> results = QueryMappedBatch(
+      mapper_.MapAll(queries, options_.serve.threads), options, nullptr,
+      &stats);
+  FinishBatch(batch_timer.Millis(), std::move(stats), report, per_query);
   return results;
 }
 
@@ -536,10 +469,9 @@ std::vector<Ranking> ShardedEngine::QueryMappedBatch(
   WallTimer batch_timer;
   std::vector<Ranking> results(fingerprints.size());
   std::vector<ServeQueryStats> stats(fingerprints.size());
-  ScanMappedBatch(fingerprints, options, &results, &stats);
-  const double wall_ms = batch_timer.Millis();
-  if (report != nullptr) FillServeBatchReport(wall_ms, stats, report);
-  if (per_query != nullptr) *per_query = std::move(stats);
+  Scan(fingerprints.data(), static_cast<int>(fingerprints.size()), options,
+       results.data(), stats.data());
+  FinishBatch(batch_timer.Millis(), std::move(stats), report, per_query);
   return results;
 }
 

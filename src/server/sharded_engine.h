@@ -25,8 +25,8 @@ struct ShardedOptions {
   /// merge reproduces the one-shard score-then-id total order exactly).
   int num_shards = 1;
 
-  /// Per-shard serving options. `serve.threads` also sizes the scatter pool
-  /// of Query()/QueryBatch(); the rest is passed through to every shard.
+  /// Per-shard serving options. `serve.threads` also sizes the pool the
+  /// scan tiles run on; the rest is passed through to every shard.
   ServeOptions serve;
 };
 
@@ -57,9 +57,10 @@ struct FrozenShardedState {
 /// mapped database vectors) in the packed word layout and hash-partitions
 /// the rows across N QueryEngine shards by stable external id (shard of
 /// id = id % N). A top-k query is fingerprinted once onto the selected
-/// dimension (VF2, stage 1), the mapped vector is scattered to every shard
-/// in parallel (stages 2–3, see QueryEngine), and the per-shard top-k lists
-/// are gather-merged in ascending score-then-id order.
+/// dimension (VF2, stage 1) and packed once; every shard in turn scans it
+/// (stages 2–3, see QueryEngine) and returns integer (Hamming distance, id)
+/// survivors, which are merged in ascending (distance, id) order and
+/// converted to scores once. Every query entry point runs this one path.
 ///
 /// Invariants:
 ///  - External ids are global and stable: the engine owns one id sequence,
@@ -223,10 +224,9 @@ class ShardedEngine {
   static Status WriteSnapshot(const FrozenShardedState& frozen,
                               const std::string& path);
 
-  /// Top-k for one query: VF2-fingerprint once, scatter the mapped vector
-  /// across all shards on the scatter pool, gather-merge. stats aggregates
-  /// over shards (scanned rows are summed). Per-query knobs travel in
-  /// `options`: engine.Query(q, {.k = 10}).
+  /// Top-k for one query: VF2-fingerprint once, then the scan path as a
+  /// batch of one. stats sums over shards (scanned rows, pruned rows, probe
+  /// time). Per-query knobs travel in `options`: engine.Query(q, {.k = 10}).
   Ranking Query(const Graph& query, const QueryOptions& options,
                 ServeQueryStats* stats = nullptr) const;
 
@@ -235,22 +235,18 @@ class ShardedEngine {
                       const QueryOptions& options,
                       ServeQueryStats* stats = nullptr) const;
 
-  /// Answers a whole batch: one MapAll fingerprinting pass, then the same
-  /// scan path as QueryMappedBatch. Deterministic for any thread count and
-  /// bit-identical for every scan kernel.
+  /// Answers a whole batch: one MapAll fingerprinting pass, then
+  /// QueryMappedBatch. Deterministic for any thread count and bit-identical
+  /// for every scan kernel.
   std::vector<Ranking> QueryBatch(
       const GraphDatabase& queries, const QueryOptions& options,
       ServeBatchReport* report = nullptr,
       std::vector<ServeQueryStats>* per_query = nullptr) const;
 
   /// QueryBatch over pre-mapped fingerprints — the multi-query entry point
-  /// the batch executor coalesces concurrent network queries into. Except
-  /// under MODE=approx, which takes the per-query scatter path, the batch
-  /// is cut into tiles of ActiveScanKernel()::tile_width() queries and each
-  /// shard scores a whole tile per row-block pass (QueryEngine::
-  /// QueryMappedTile) instead of looping queries outermost; the per-query
-  /// gather merge is unchanged, so answers are bit-identical to the
-  /// one-query-at-a-time path.
+  /// the batch executor coalesces concurrent network queries into. Answers
+  /// are bit-identical to one QueryMapped call per fingerprint, in both
+  /// scan modes, for every batch size, shard count and thread count.
   std::vector<Ranking> QueryMappedBatch(
       const std::vector<std::vector<uint8_t>>& fingerprints,
       const QueryOptions& options, ServeBatchReport* report = nullptr,
@@ -263,20 +259,17 @@ class ShardedEngine {
     return id % static_cast<int>(shards_.size());
   }
 
-  /// Scatter + gather for one mapped fingerprint with an explicit scatter
-  /// pool size (1 inside batch loops, options_.serve.threads for single
-  /// queries).
-  Ranking ScatterGather(const std::vector<uint8_t>& fingerprint,
-                        const QueryOptions& options, ServeQueryStats* stats,
-                        int scatter_threads) const;
-
-  /// The shared scan body of QueryBatch/QueryMappedBatch: fills results and
-  /// stats (both pre-sized to the batch) tile by tile, or per query for
-  /// MODE=approx.
-  void ScanMappedBatch(const std::vector<std::vector<uint8_t>>& fingerprints,
-                       const QueryOptions& options,
-                       std::vector<Ranking>* results,
-                       std::vector<ServeQueryStats>* stats) const;
+  /// The one scan path behind every query entry point, in both scan
+  /// modes: results[i] and stats[i] answer fingerprints[i], i < count.
+  /// Each fingerprint is packed once; the batch is cut into
+  /// ActiveScanKernel().tile_width() tiles run under ParallelFor
+  /// (options_.serve.threads); inside a tile every shard in turn runs one
+  /// QueryEngine::ScanPacked pass over the tile, and each query's integer
+  /// survivors are merged across shards (MergeTopK) before sqrt(d / p) is
+  /// taken once per returned entry.
+  void Scan(const std::vector<uint8_t>* fingerprints, int count,
+            const QueryOptions& options, Ranking* results,
+            ServeQueryStats* stats) const;
 
   ShardedOptions options_;
   FeatureMapper mapper_{GraphDatabase{}};

@@ -60,6 +60,32 @@ TEST(IndexTest, QueryingDatabaseMemberRanksItFirst) {
   EXPECT_DOUBLE_EQ(exact[0].score, 0.0);
 }
 
+TEST(IndexTest, QueryEqualsTruncatedMappedRankingOnTies) {
+  // Five distinct graphs, each repeated eight times: the mapped rows
+  // collapse onto at most five patterns, so nearly every top-k boundary is
+  // a tie that only the id order breaks.
+  const GraphDatabase chem = GenerateChemDatabase(SmallChem());
+  GraphDatabase db;
+  for (size_t i = 0; i < 40; ++i) db.push_back(chem[i % 5]);
+  auto index = GraphSearchIndex::Build(db, FastIndex("Sample"));
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const int n = static_cast<int>(db.size());
+  GraphDatabase queries = GenerateChemQueries(SmallChem(), 4);
+  queries.push_back(db[3]);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const Ranking full = MappedRanking(index->MapQuery(queries[qi]),
+                                       index->mapped_database());
+    for (const int k : {0, 1, 5, n, n + 3}) {
+      EXPECT_EQ(index->Query(queries[qi], k), TopK(full, k))
+          << "q=" << qi << " k=" << k;
+    }
+  }
+  // db[3]'s eight copies tie at distance 0 across the k = 5 boundary.
+  const Ranking member = index->Query(db[3], 6);
+  ASSERT_EQ(member.size(), 6u);
+  EXPECT_EQ(member[4].score, member[5].score);
+}
+
 TEST(IndexTest, ApproximateBeatsRandomBaseline) {
   GraphDatabase db = GenerateChemDatabase(SmallChem());
   auto dspm = GraphSearchIndex::Build(db, FastIndex("DSPM"));

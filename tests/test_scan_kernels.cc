@@ -251,7 +251,8 @@ TEST(ScanKernelTest, FusedScanTopKMatchesBruteForceAcrossShapes) {
           for (size_t q = 0; q < raw.size(); ++q) {
             const Ranking expected =
                 testing_util::BruteForceTopK(raw[q], live, k);
-            EXPECT_EQ(selectors[q].Ranked(num_bits, row_ids), expected)
+            EXPECT_EQ(ToRanking(selectors[q].Hits(row_ids), num_bits),
+                      expected)
                 << "p=" << num_bits << " rows=" << num_rows << " q=" << q
                 << " k=" << k;
           }

@@ -134,7 +134,7 @@ TEST(HammingTopKTest, EqualsRankByScoresOverOfferedRows) {
     for (size_t j = 0; j < offered.size(); ++j) {
       selector.Offer(dists[j], offered[j]);
     }
-    EXPECT_EQ(selector.Ranked(p, row_ids), TopK(brute, k)) << "k=" << k;
+    EXPECT_EQ(ToRanking(selector.Hits(row_ids), p), TopK(brute, k)) << "k=" << k;
   }
 }
 

@@ -1,4 +1,4 @@
-// Sharded scatter-gather tests: a ShardedEngine over ANY shard count must
+// Sharded engine tests: a ShardedEngine over ANY shard count must
 // answer bit-identically (ids and scores) to a brute-force ranking of the
 // same database — through tie-heavy score distributions, k larger than any
 // shard, shards emptied by removals, interleaved churn, and snapshot/reload

@@ -184,10 +184,10 @@ inline std::vector<Ranking> BruteForceBatch(const FeatureMapper& mapper,
   return out;
 }
 
-/// Every engine scan path against brute force: the tiled batch
-/// (QueryMappedBatch), the per-query scatter, and the IVF candidate path at
-/// NPROBE=all (which prunes nothing, so it must be exact too), at every
-/// BoundaryKs value. Pass a fingerprint count that is not a multiple of any
+/// Every engine entry point against brute force: the batch
+/// (QueryMappedBatch), the one-query QueryMapped, and the IVF candidate
+/// path at NPROBE=all (which prunes nothing, so it must be exact too), at
+/// every BoundaryKs value. Pass a fingerprint count that is not a multiple of any
 /// kernel's tile width so the remainder tile runs.
 inline void ExpectEngineMatchesBruteForce(
     const ShardedEngine& engine,
@@ -209,7 +209,7 @@ inline void ExpectEngineMatchesBruteForce(
       EXPECT_EQ(approx_batch[i], expected)
           << what << " approx batch q=" << i << " k=" << k;
       EXPECT_EQ(engine.QueryMapped(fingerprints[i], full), expected)
-          << what << " scatter q=" << i << " k=" << k;
+          << what << " single q=" << i << " k=" << k;
     }
   }
 }

@@ -204,10 +204,13 @@ int RunBuild(const Flags& flags) {
   WallTimer timer;
   Result<GraphSearchIndex> index = GraphSearchIndex::Build(*db, opts);
   if (!index.ok()) return Fail(index.status());
-  PersistedIndex persisted;
-  persisted.features = index->dimension();
-  persisted.db_bits = index->mapped_database();
-  Status s = WriteIndexFile(persisted, out);
+  PackedIndex packed;
+  packed.features = index->dimension();
+  packed.rows = index->packed_database();
+  // Generation 0, epoch 0: a fresh build has no REINDEX history, and saying
+  // so keeps serve-net's missing-metadata WARN for files that lost one.
+  packed.meta = PersistedMeta{};
+  Status s = WritePackedIndexFile(packed, out);
   if (!s.ok()) return Fail(s);
   const IndexBuildStats& st = index->build_stats();
   std::printf("built %s index over %zu graphs in %.2fs "
@@ -464,11 +467,11 @@ int RunServeNet(const Flags& flags) {
         "them)"));
   }
   if (!has_meta && (*reindex_every > 0 || !db_path.empty())) {
-    // A file without a META section (a `build` output, or a v1/v2 file
-    // taken after a REINDEX) cannot say which generation it holds: any
-    // swapped generations are forgotten and this process reports
-    // dimension_generation=0 — clients comparing the gauge across the
-    // restart would read that as "no reindex ever happened".
+    // A file without a META section (a v1/v2 file, possibly taken after a
+    // REINDEX, or an older tool's `build`) cannot say which generation it
+    // holds: any swapped generations are forgotten and this process
+    // reports dimension_generation=0 — clients comparing the gauge across
+    // the restart would read that as "no reindex ever happened".
     std::fprintf(
         stderr,
         "WARN: %s has no generation/epoch metadata (no META section); "

@@ -11,9 +11,10 @@
 #   - QUERY answers — MODE=full and MODE=approx NPROBE=all — are
 #     byte-identical to the pre-kill responses,
 #   - REINDEX still works, fed by the snapshot's own store section,
-#   - the restart log carries no missing-metadata WARN (the cold start in
-#     step 1, from a META-less `build` output, does WARN — the loud/quiet
-#     pair is asserted both ways).
+#   - the restart log carries no missing-metadata WARN. `build` writes
+#     META {generation 0, epoch 0}, so the cold start is quiet too; a
+#     hand-written v1 text index (no META section) must WARN — the
+#     loud/quiet pair is asserted both ways.
 #
 # Then the same snapshot goes through an offline `gdim_tool update`
 # (--remove + --insert) and a third server starts from the result, again
@@ -157,14 +158,37 @@ echo "restart_smoke: generating corpus and initial index"
 "$TOOL" build --db="$TMP/db.gdb" --out="$TMP/index.idx" \
   --selector=DSPM --p=30 --minsup=0.15 --maxedges=4
 
+# The v3 restarts below restore everything; any WARN there is a
+# regression.
+assert_no_warn() {
+  if grep -q 'WARN' "$1"; then
+    echo "restart_smoke: unexpected WARN in $1" >&2
+    cat "$1" >&2
+    exit 1
+  fi
+}
+
+echo "restart_smoke: starting server 0 (META-less v1 index + --db)"
+# Two single-vertex features (labels 0 and 1) over two one-vertex graphs.
+# v1 has no META section, so with reindex-capable flags this is the
+# degraded shape: the server must say so out loud.
+printf 't # 0\nv 0 0\nt # 1\nv 0 1\n' >"$TMP/v1db.gdb"
+{
+  printf 'gdim-index v1\nfeatures 2\n'
+  cat "$TMP/v1db.gdb"
+  printf 'vectors 2 2\n10\n01\n'
+} >"$TMP/v1.idx"
+start_server "$TMP/serve0.log" --index="$TMP/v1.idx" --db="$TMP/v1db.gdb"
+grep -q 'WARN: .*no generation/epoch metadata' "$TMP/serve0.log"
+kill "$SERVER_PID"
+
 echo "restart_smoke: starting server 1 (cold build + --db)"
 start_server "$TMP/serve1.log" --index="$TMP/index.idx" \
   --shards=3 --cache-mb=16 --db="$TMP/db.gdb" \
   --reindex-minsup=0.15 --reindex-maxedges=4
 KILL_PID=$SERVER_PID
-# A meta-less index (a fresh build) plus reindex-capable flags is the
-# degraded shape: the server must say so out loud.
-grep -q 'WARN: .*no generation/epoch metadata' "$TMP/serve1.log"
+# `build` wrote META {0, 0}: a fresh build has no history to lose.
+assert_no_warn "$TMP/serve1.log"
 
 python3 -c "$CLIENT" pre "$SERVER_PORT" "$TMP/q.gdb" "$TMP/pre.txt" \
   "$TMP/snap.idx2"
@@ -177,14 +201,6 @@ wait "$KILL_PID" 2>/dev/null || true
 echo "restart_smoke: restarting from the snapshot alone (no --db)"
 start_server "$TMP/serve2.log" --index="$TMP/snap.idx2" \
   --shards=3 --cache-mb=16
-# The v3 restart restores everything; any WARN here is a regression.
-assert_no_warn() {
-  if grep -q 'WARN' "$1"; then
-    echo "restart_smoke: unexpected WARN on v3 restart" >&2
-    cat "$1" >&2
-    exit 1
-  fi
-}
 assert_no_warn "$TMP/serve2.log"
 
 python3 -c "$CLIENT" post "$SERVER_PORT" "$TMP/q.gdb" "$TMP/pre.txt"
