@@ -126,8 +126,8 @@ PersistedIvf PersistIvf(const IvfIndex& ivf,
 ///      to sqrt(d / p) scores.
 /// Stage 1 (VF2 fingerprinting onto the selected dimension) and the query
 /// packing run once per query in the owning engine, which hands every
-/// shard the same packed words (ScanPacked). No MCS computation runs at query time, which
-/// is the paper's whole online-search proposition.
+/// shard the same packed words (ScanPacked). No MCS computation runs at
+/// query time, which is the paper's whole online-search proposition.
 ///
 /// The shard is *mutable*: its rows are a sealed base segment plus an
 /// append-only delta segment of packed rows, with a tombstone bitset over

@@ -134,7 +134,8 @@ TEST(HammingTopKTest, EqualsRankByScoresOverOfferedRows) {
     for (size_t j = 0; j < offered.size(); ++j) {
       selector.Offer(dists[j], offered[j]);
     }
-    EXPECT_EQ(ToRanking(selector.Hits(row_ids), p), TopK(brute, k)) << "k=" << k;
+    EXPECT_EQ(ToRanking(selector.Hits(row_ids), p), TopK(brute, k))
+        << "k=" << k;
   }
 }
 

@@ -187,8 +187,8 @@ inline std::vector<Ranking> BruteForceBatch(const FeatureMapper& mapper,
 /// Every engine entry point against brute force: the batch
 /// (QueryMappedBatch), the one-query QueryMapped, and the IVF candidate
 /// path at NPROBE=all (which prunes nothing, so it must be exact too), at
-/// every BoundaryKs value. Pass a fingerprint count that is not a multiple of any
-/// kernel's tile width so the remainder tile runs.
+/// every BoundaryKs value. Pass a fingerprint count that is not a multiple
+/// of any kernel's tile width so the remainder tile runs.
 inline void ExpectEngineMatchesBruteForce(
     const ShardedEngine& engine,
     const std::vector<std::vector<uint8_t>>& fingerprints,
