@@ -104,7 +104,7 @@ int Main(int argc, char** argv) {
 
   ShardedOptions opts;
   opts.num_shards = shards;
-  opts.serve.threads = threads;
+  opts.threads = threads;
   Result<ShardedEngine> engine =
       ShardedEngine::FromIndex(std::move(index), opts);
   GDIM_CHECK(engine.ok()) << engine.status().ToString();

@@ -56,7 +56,7 @@ int Main(int argc, char** argv) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 7)));
 
   ShardedOptions options;
-  options.serve.threads = 1;  // per-op cost, not batch parallelism
+  options.threads = 1;  // per-op cost, not batch parallelism
 
   std::printf(
       "churn_workload: n=%d p=%d rounds=%d (+%d/-%d/?%d per round) k=%d "

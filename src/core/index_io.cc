@@ -1,6 +1,5 @@
 #include "core/index_io.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -30,7 +29,7 @@ constexpr uint32_t kV3HeaderVersion = 3;
 constexpr char kSectionDims[5] = "DIMS";
 constexpr char kSectionMeta[5] = "META";
 constexpr char kSectionStor[5] = "STOR";
-constexpr char kSectionIvfx[5] = "IVFX";
+constexpr char kSectionIvfx[5] = "IVFX";  // legacy: skipped, never written
 
 template <typename T>
 void WritePod(std::ostream& out, T value) {
@@ -56,13 +55,6 @@ std::string TagName(const char tag[4]) {
 
 bool TagIs(const char tag[4], const char (&want)[5]) {
   return std::memcmp(tag, want, 4) == 0;
-}
-
-/// Row index of external id `id` in the strictly ascending id list, or -1.
-int FindRow(const std::vector<int>& ids, int id) {
-  auto it = std::lower_bound(ids.begin(), ids.end(), id);
-  if (it == ids.end() || *it != id) return -1;
-  return static_cast<int>(it - ids.begin());
 }
 
 Result<PersistedIndex> ReadIndexFileV1(const std::string& path) {
@@ -317,91 +309,6 @@ Result<PersistedStore> ReadStoreSection(std::istream& in, uint64_t len,
   return store;
 }
 
-Result<PersistedIvf> ReadIvfSection(std::istream& in, uint64_t len,
-                                    const PackedIndex& dims) {
-  uint64_t left = len;
-  uint64_t num_buckets = 0, num_bits = 0, wpc = 0;
-  if (left < 24 || !ReadPod(in, &num_buckets) || !ReadPod(in, &num_bits) ||
-      !ReadPod(in, &wpc)) {
-    return Status::ParseError("truncated IVF section");
-  }
-  left -= 24;
-  if (num_bits != static_cast<uint64_t>(dims.rows.num_bits())) {
-    return Status::ParseError("IVF width does not match the index");
-  }
-  if (wpc != (num_bits + 63) / 64) {
-    return Status::ParseError("IVF centroid stride does not match width");
-  }
-  // Every bucket costs at least a centroid, a posting count, and one
-  // posting id — bounding the bucket count before the reserve.
-  const uint64_t min_bucket_bytes = wpc * 8 + 16;
-  if (num_buckets > left / min_bucket_bytes) {
-    return Status::ParseError("IVF bucket count larger than section");
-  }
-  const uint64_t n = static_cast<uint64_t>(dims.rows.num_rows());
-  std::vector<uint8_t> seen(n, 0);
-  uint64_t covered = 0;
-  PersistedIvf ivf;
-  ivf.num_bits = static_cast<int>(num_bits);
-  ivf.buckets.reserve(num_buckets);
-  for (uint64_t b = 0; b < num_buckets; ++b) {
-    if (left < wpc * 8 + 8) {
-      return Status::ParseError("truncated IVF bucket");
-    }
-    PersistedIvfBucket bucket;
-    bucket.centroid_words.resize(wpc);
-    if (wpc > 0 &&
-        !in.read(reinterpret_cast<char*>(bucket.centroid_words.data()),
-                 static_cast<std::streamsize>(wpc * sizeof(uint64_t)))) {
-      return Status::ParseError("truncated IVF bucket");
-    }
-    uint64_t posting_count = 0;
-    if (!ReadPod(in, &posting_count)) {
-      return Status::ParseError("truncated IVF bucket");
-    }
-    left -= wpc * 8 + 8;
-    if (posting_count == 0) {
-      return Status::ParseError("empty IVF bucket");
-    }
-    if (posting_count > left / 8) {
-      return Status::ParseError("IVF posting block larger than section");
-    }
-    bucket.ids.reserve(posting_count);
-    for (uint64_t j = 0; j < posting_count; ++j) {
-      uint64_t id = 0;
-      if (!ReadPod(in, &id)) {
-        return Status::ParseError("truncated IVF bucket");
-      }
-      if (id >= static_cast<uint64_t>(std::numeric_limits<int>::max()) ||
-          (j > 0 && static_cast<int>(id) <= bucket.ids.back())) {
-        return Status::ParseError(
-            "IVF postings must be strictly ascending and in range");
-      }
-      const int row = FindRow(dims.ids, static_cast<int>(id));
-      if (row < 0) {
-        return Status::ParseError("IVF posting id is not a live row");
-      }
-      if (seen[static_cast<size_t>(row)] != 0) {
-        return Status::ParseError("duplicate IVF posting id");
-      }
-      seen[static_cast<size_t>(row)] = 1;
-      ++covered;
-      bucket.ids.push_back(static_cast<int>(id));
-    }
-    left -= posting_count * 8;
-    ivf.buckets.push_back(std::move(bucket));
-  }
-  if (left != 0) {
-    return Status::ParseError("IVF section size mismatch");
-  }
-  // NPROBE=all ≡ MODE=full depends on the postings being exactly the live
-  // rows: nothing missing (a row no probe could find), nothing extra.
-  if (covered != n) {
-    return Status::ParseError("IVF postings do not cover the live rows");
-  }
-  return ivf;
-}
-
 Result<PackedIndex> ReadIndexFileV3Packed(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open for reading: " + path);
@@ -466,12 +373,9 @@ Result<PackedIndex> ReadIndexFileV3Packed(const std::string& path) {
       if (!store.ok()) return store.status();
       out.store = std::move(store).value();
     } else if (TagIs(tag, kSectionIvfx)) {
-      if (out.ivf.has_value()) {
-        return Status::ParseError("duplicate IVFX section");
-      }
-      Result<PersistedIvf> ivf = ReadIvfSection(in, len, out);
-      if (!ivf.ok()) return ivf.status();
-      out.ivf = std::move(ivf).value();
+      // Legacy IVF layout from an older writer: the index is rebuilt from
+      // the DIMS rows, so the payload is skipped unread.
+      in.seekg(static_cast<std::streamoff>(len), std::ios::cur);
     } else {
       return Status::ParseError("unknown section tag '" + TagName(tag) + "'");
     }
@@ -566,7 +470,7 @@ Status WriteIndexFileV3Words(
   Result<int> normalized = ValidateRowIds(p, n, words_per_row, ids, next_id);
   if (!normalized.ok()) return normalized.status();
 
-  // Mirror every reader-side section check, so a snapshot can never emit a
+  // Mirror the reader-side section checks, so a snapshot can never emit a
   // file its own reader refuses (and a restart can never half-adopt).
   if ((sections.store_ids == nullptr) != (sections.store_graphs == nullptr)) {
     return Status::InvalidArgument("store ids and graphs must come together");
@@ -586,49 +490,6 @@ Status WriteIndexFileV3Words(
       }
     }
   }
-  if (sections.ivf != nullptr) {
-    if (sections.ivf->num_bits != static_cast<int>(p)) {
-      return Status::InvalidArgument("IVF width does not match the index");
-    }
-    std::vector<uint8_t> seen(n, 0);
-    uint64_t covered = 0;
-    for (const PersistedIvfBucket& bucket : sections.ivf->buckets) {
-      if (bucket.centroid_words.size() != words_per_row) {
-        return Status::InvalidArgument(
-            "IVF centroid stride does not match width");
-      }
-      if (bucket.ids.empty()) {
-        return Status::InvalidArgument("empty IVF bucket");
-      }
-      int prev = -1;
-      for (const int id : bucket.ids) {
-        if (id <= prev) {
-          return Status::InvalidArgument(
-              "IVF postings must be strictly ascending and in range");
-        }
-        prev = id;
-        int row;
-        if (ids.empty()) {
-          row = (id >= 0 && static_cast<uint64_t>(id) < n) ? id : -1;
-        } else {
-          row = FindRow(ids, id);
-        }
-        if (row < 0) {
-          return Status::InvalidArgument("IVF posting id is not a live row");
-        }
-        if (seen[static_cast<size_t>(row)] != 0) {
-          return Status::InvalidArgument("duplicate IVF posting id");
-        }
-        seen[static_cast<size_t>(row)] = 1;
-        ++covered;
-      }
-    }
-    if (covered != n) {
-      return Status::InvalidArgument(
-          "IVF postings must cover every row exactly once");
-    }
-  }
-
   std::ostringstream feature_text;
   WriteGraphStream(features, feature_text);
   const std::string feature_str = feature_text.str();
@@ -673,29 +534,6 @@ Status WriteIndexFileV3Words(
               static_cast<std::streamsize>(store_str.size()));
   }
 
-  if (sections.ivf != nullptr) {
-    uint64_t ivf_len = 24;
-    for (const PersistedIvfBucket& bucket : sections.ivf->buckets) {
-      ivf_len += words_per_row * 8 + 8 + bucket.ids.size() * 8;
-    }
-    out.write(kSectionIvfx, 4);
-    WritePod(out, ivf_len);
-    WritePod(out, static_cast<uint64_t>(sections.ivf->buckets.size()));
-    WritePod(out, static_cast<uint64_t>(p));
-    WritePod(out, words_per_row);
-    for (const PersistedIvfBucket& bucket : sections.ivf->buckets) {
-      if (words_per_row > 0) {
-        out.write(
-            reinterpret_cast<const char*>(bucket.centroid_words.data()),
-            static_cast<std::streamsize>(words_per_row * sizeof(uint64_t)));
-      }
-      WritePod(out, static_cast<uint64_t>(bucket.ids.size()));
-      for (const int id : bucket.ids) {
-        WritePod(out, static_cast<uint64_t>(id));
-      }
-    }
-  }
-
   out.flush();
   if (!out) return Status::IoError("write failed: " + path);
   return Status::OK();
@@ -715,7 +553,6 @@ Status WritePackedIndexFile(const PackedIndex& index,
     sections.store_ids = &index.store->ids;
     sections.store_graphs = &index.store->graphs;
   }
-  if (index.ivf.has_value()) sections.ivf = &*index.ivf;
   return WriteIndexFileV3Words(
       index.features, static_cast<uint64_t>(index.rows.num_rows()),
       static_cast<uint64_t>(index.rows.words_per_row()),

@@ -47,9 +47,9 @@ namespace gdim {
 ///                bit r of a row at word r/64, bit r%64
 ///   ...          n u64 external graph ids, strictly ascending
 ///
-/// v3 — sectioned (TLV) snapshot that persists the FULL serving state, so a
-/// reindexed server restarts durably from the snapshot alone (no --db) and
-/// reload skips the O(n·sqrt(n)) IVF rebuild. The only format written:
+/// v3 — sectioned (TLV) snapshot that persists the serving state (rows,
+/// counters, graph store), so a reindexed server restarts durably from the
+/// snapshot alone (no --db). The only format written:
 ///
 ///   bytes 0..7   magic "GDIMIDX3"
 ///   u32          header version (3)
@@ -69,20 +69,14 @@ namespace gdim {
 ///   STOR   the live GraphStore: u64 count, count u64 ids (must equal the
 ///          DIMS ids exactly), u64 text length, the graphs in gSpan text in
 ///          id order. Lets serve-net restart (and REINDEX) without --db.
-///   IVFX   the IVF candidate-pruning layout in EXTERNAL id space: u64
-///          bucket count, u64 num_bits (= p), u64 words_per_centroid, then
-///          per bucket the centroid words, u64 posting count (> 0), and the
-///          ascending posting ids. Only live postings of non-empty buckets
-///          are written (source shards' buckets concatenated in shard
-///          order); together they must cover the DIMS ids exactly once, so
-///          any shard count can re-partition them on load without a
-///          rebuild.
+///   IVFX   legacy: the IVF layout older writers persisted. Never written;
+///          its payload is skipped unread (the IVF index is derived from
+///          the DIMS rows alone and rebuilt at load).
 ///
-/// Unknown, duplicated, truncated, or oversized sections are rejected with
-/// typed errors — never a crash or a partial adopt. v1/v2 files (and v3
-/// files without the optional sections, such as a fresh `build`) still
-/// load; absent sections mean generation/epoch start at 0, no embedded
-/// store, and a from-scratch IVF build.
+/// Unknown, duplicated (IVFX aside), truncated, or oversized sections are
+/// rejected with typed errors — never a crash or a partial adopt. v1/v2
+/// files (and v3 files without the optional sections) still load; absent
+/// sections mean generation/epoch start at 0 and no embedded store.
 ///
 /// The vectors — the part that scales with database size — are the raw
 /// packed words of the serving scan layout, so a snapshot load is a block
@@ -116,20 +110,6 @@ struct PersistedStore {
   GraphDatabase graphs;
 };
 
-/// One v3 IVFX bucket: the medoid centroid (packed words, same stride as
-/// the rows) plus its live posting ids, ascending, in EXTERNAL id space.
-struct PersistedIvfBucket {
-  std::vector<uint64_t> centroid_words;
-  std::vector<int> ids;
-};
-
-/// v3 IVFX section: the persisted IVF layout. Buckets appear in source
-/// shard order; their postings partition the index ids exactly.
-struct PersistedIvf {
-  int num_bits = 0;
-  std::vector<PersistedIvfBucket> buckets;
-};
-
 /// A persisted index loaded directly into the serving scan layout: the rows
 /// live in a PackedBitMatrix instead of per-row byte vectors. For v2/v3
 /// files the word block is adopted wholesale — one block read, no
@@ -145,7 +125,6 @@ struct PackedIndex {
   int next_id = -1;
   std::optional<PersistedMeta> meta;
   std::optional<PersistedStore> store;
-  std::optional<PersistedIvf> ivf;
 };
 
 /// The written format. v3 is the only one; the argument is kept for
@@ -160,10 +139,10 @@ enum class IndexFormat {
 Status WriteIndexFile(const PersistedIndex& index, const std::string& path,
                       IndexFormat format = IndexFormat::kV3Sectioned);
 
-/// Writes a packed index as v3 with every section it carries (META, STOR,
-/// IVFX when present). ReadIndexFilePacked followed by this call is
-/// `gdim_tool convert`: it upgrades v1/v2 files to v3 and reproduces a
-/// file this writer emitted byte for byte.
+/// Writes a packed index as v3 with every section it carries (META and STOR
+/// when present). ReadIndexFilePacked followed by this call is `gdim_tool
+/// convert`: it upgrades v1/v2 files to v3 and reproduces a file this
+/// writer emitted byte for byte.
 Status WritePackedIndexFile(const PackedIndex& index, const std::string& path);
 
 /// The optional v3 sections, borrowed for the duration of a
@@ -174,7 +153,6 @@ struct V3Sections {
   const PersistedMeta* meta = nullptr;
   const std::vector<int>* store_ids = nullptr;
   const GraphDatabase* store_graphs = nullptr;
-  const PersistedIvf* ivf = nullptr;
 };
 
 /// Streaming v3 writer: emits n rows of words_per_row packed words obtained
@@ -182,9 +160,8 @@ struct V3Sections {
 /// byte vectors, plus the optional sections. words_per_row must equal
 /// ceil(features.size() / 64); ids must be strictly ascending with n
 /// entries, or empty for positional (0..n-1); next_id must exceed every id
-/// (-1 = derive). The writer mirrors every reader-side check (store ids
-/// must equal the index ids; IVF buckets must be non-empty, ascending, and
-/// cover the ids exactly once) so it can never emit a file its own reader
+/// (-1 = derive). The writer mirrors the reader-side checks (store ids
+/// must equal the index ids) so it can never emit a file its own reader
 /// refuses.
 Status WriteIndexFileV3Words(
     const GraphDatabase& features, uint64_t n, uint64_t words_per_row,
@@ -202,7 +179,7 @@ Result<PersistedIndex> ReadIndexFile(const std::string& path);
 /// layout. For v2/v3 files the vector block is a single block read into the
 /// matrix storage (padding bits are masked); v1 falls back to the text
 /// parser plus a pack. The load path of ShardedEngine::Open; v3 section
-/// payloads come back in PackedIndex::meta/store/ivf.
+/// payloads come back in PackedIndex::meta/store.
 Result<PackedIndex> ReadIndexFilePacked(const std::string& path);
 
 }  // namespace gdim

@@ -93,15 +93,6 @@ IvfIndex IvfIndex::Build(const PackedBitMatrix& rows, int bucket_override) {
   return index;
 }
 
-IvfIndex IvfIndex::FromParts(PackedBitMatrix centroids,
-                             std::vector<std::vector<int>> postings) {
-  GDIM_CHECK(static_cast<size_t>(centroids.num_rows()) == postings.size());
-  IvfIndex index;
-  index.centroids_ = std::move(centroids);
-  index.postings_ = std::move(postings);
-  return index;
-}
-
 void IvfIndex::AddRow(const uint64_t* words, size_t words_per_row, int row) {
   if (postings_.empty()) {
     // The engine was built over zero rows: the first insert seeds a single

@@ -48,14 +48,6 @@ class IvfIndex {
   /// An empty matrix builds an empty index (AddRow seeds it later).
   static IvfIndex Build(const PackedBitMatrix& rows, int bucket_override);
 
-  /// Adopts an already-built layout — one packed centroid row per posting
-  /// list, postings ascending — without any clustering work. The v3
-  /// snapshot restore path: reload costs O(read) instead of the
-  /// O(n·sqrt(n)) Build. Callers are responsible for posting soundness
-  /// (the engine validates coverage against its live rows before calling).
-  static IvfIndex FromParts(PackedBitMatrix centroids,
-                            std::vector<std::vector<int>> postings);
-
   int num_buckets() const { return static_cast<int>(postings_.size()); }
 
   /// The engine-chosen probe width when a query does not pin one:
@@ -90,10 +82,6 @@ class IvfIndex {
   /// Posted rows of one bucket, ascending; tombstoned rows linger until
   /// Renumber. Observability for tests and invariant checks.
   const std::vector<int>& posting(int bucket) const;
-
-  /// The packed centroid rows, one per bucket. Read by the snapshot writer
-  /// (the v3 IVFX section persists them verbatim) and by tests.
-  const PackedBitMatrix& centroids() const { return centroids_; }
 
  private:
   /// Nearest centroid by Hamming distance, lowest bucket id on ties.

@@ -9,77 +9,19 @@
 
 namespace gdim {
 
-Result<QueryEngine> QueryEngine::FromPacked(
-    PackedBitMatrix rows, std::vector<int> ids,
-    const std::optional<PersistedIvf>& ivf, const ServeOptions& options) {
+QueryEngine QueryEngine::FromPacked(PackedBitMatrix rows,
+                                    std::vector<int> ids) {
   const int n = rows.num_rows();
-  const int p = rows.num_bits();
   QueryEngine engine;
   engine.base_ = std::make_shared<const PackedBitMatrix>(std::move(rows));
-  engine.delta_ = PackedBitMatrix::WithWidth(p);
+  engine.delta_ = PackedBitMatrix::WithWidth(engine.base_->num_bits());
   engine.tombstones_.assign(static_cast<size_t>(n), 0);
   engine.alive_ = n;
   engine.row_ids_ = std::move(ids);
-  if (ivf.has_value()) {
-    // Adopt the persisted IVF layout instead of re-clustering: reload skips
-    // the O(n·sqrt(n)) Build. Snapshot postings are in external-id space
-    // and may span a different shard partition than this shard's, so keep
-    // exactly the buckets holding ids this shard owns, mapped to local
-    // physical rows. Relative bucket order is preserved, so at an unchanged
-    // shard count the probe's (distance, bucket id) ranking reproduces the
-    // snapshotted engine's exactly.
-    const PersistedIvf& persisted = *ivf;
-    const size_t wpc = engine.base_->words_per_row();
-    std::vector<uint64_t> centroid_words;
-    std::vector<std::vector<int>> postings;
-    std::vector<uint8_t> seen(static_cast<size_t>(n), 0);
-    int covered = 0;
-    for (const PersistedIvfBucket& bucket : persisted.buckets) {
-      if (bucket.centroid_words.size() != wpc) {
-        return Status::InvalidArgument(
-            "IVF centroid stride does not match width");
-      }
-      std::vector<int> bucket_rows;
-      for (const int id : bucket.ids) {
-        const auto it = std::lower_bound(engine.row_ids_.begin(),
-                                         engine.row_ids_.end(), id);
-        if (it == engine.row_ids_.end() || *it != id) {
-          continue;  // another shard's row under this partition
-        }
-        const int row = static_cast<int>(it - engine.row_ids_.begin());
-        if (seen[static_cast<size_t>(row)] != 0) {
-          return Status::InvalidArgument("duplicate IVF posting id");
-        }
-        seen[static_cast<size_t>(row)] = 1;
-        ++covered;
-        // Bucket ids ascend and the id→row map is monotone, so each
-        // adopted posting list stays sorted, as Probe requires.
-        bucket_rows.push_back(row);
-      }
-      if (bucket_rows.empty()) continue;  // another shard's bucket
-      centroid_words.insert(centroid_words.end(),
-                            bucket.centroid_words.begin(),
-                            bucket.centroid_words.end());
-      postings.push_back(std::move(bucket_rows));
-    }
-    // Strict coverage: every owned row reachable by some probe, or
-    // NPROBE=all would silently diverge from MODE=full after a restart.
-    if (covered != n) {
-      return Status::InvalidArgument(
-          "IVF postings do not cover this shard's rows");
-    }
-    // Count first: the by-value parameter's move-construction below is
-    // unsequenced with the other argument's postings.size() read.
-    const int num_buckets = static_cast<int>(postings.size());
-    engine.ivf_ = IvfIndex::FromParts(
-        PackedBitMatrix::FromWords(num_buckets, p, std::move(centroid_words)),
-        std::move(postings));
-  } else {
-    // No persisted layout: the IVF index is rebuilt with the shard — which
-    // is exactly what gives a generation swap fresh clusters over the
-    // refreshed fingerprints (zero stale buckets by construction).
-    engine.ivf_ = IvfIndex::Build(*engine.base_, options.ivf_buckets);
-  }
+  // The IVF index is derived state, rebuilt with every shard — which is
+  // exactly what gives a load or a generation swap fresh clusters over the
+  // current fingerprints (zero stale buckets by construction).
+  engine.ivf_ = IvfIndex::Build(*engine.base_, 0);
   return engine;
 }
 
@@ -140,44 +82,43 @@ void QueryEngine::Compact() {
   ivf_.Renumber(old_to_new);
 }
 
+namespace {
+
+/// The one live-row walk behind a shard's and a capture's row streams:
+/// every non-tombstoned row of base then delta (physical = ascending-id
+/// order) as an (external id, packed words) pair.
+std::vector<std::pair<int, const uint64_t*>> LiveRows(
+    const PackedBitMatrix& base, const PackedBitMatrix& delta,
+    const std::vector<uint8_t>& tombstones, const std::vector<int>& row_ids) {
+  std::vector<std::pair<int, const uint64_t*>> live;
+  live.reserve(tombstones.size());
+  const int base_n = base.num_rows();
+  const int total = base_n + delta.num_rows();
+  for (int row = 0; row < total; ++row) {
+    if (tombstones[static_cast<size_t>(row)] != 0) continue;
+    live.emplace_back(row_ids[static_cast<size_t>(row)],
+                      row < base_n ? base.row(row) : delta.row(row - base_n));
+  }
+  return live;
+}
+
+}  // namespace
+
 std::vector<int> QueryEngine::alive_ids() const {
   std::vector<int> ids;
   ids.reserve(static_cast<size_t>(alive_));
-  for (int row = 0; row < total_rows(); ++row) {
-    if (tombstones_[static_cast<size_t>(row)] == 0) {
-      ids.push_back(row_ids_[static_cast<size_t>(row)]);
-    }
-  }
+  for (const auto& [id, words] : LiveRowWords()) ids.push_back(id);
   return ids;
 }
 
 std::vector<std::pair<int, const uint64_t*>> QueryEngine::LiveRowWords()
     const {
-  std::vector<std::pair<int, const uint64_t*>> live;
-  live.reserve(static_cast<size_t>(alive_));
-  const int base_n = base_->num_rows();
-  for (int row = 0; row < total_rows(); ++row) {
-    if (tombstones_[static_cast<size_t>(row)] != 0) continue;
-    live.emplace_back(row_ids_[static_cast<size_t>(row)],
-                      row < base_n ? base_->row(row)
-                                   : delta_.row(row - base_n));
-  }
-  return live;
+  return LiveRows(*base_, delta_, tombstones_, row_ids_);
 }
 
 std::vector<std::pair<int, const uint64_t*>> FrozenEngineState::LiveRowWords()
     const {
-  std::vector<std::pair<int, const uint64_t*>> live;
-  const int base_n = base->num_rows();
-  const int total = base_n + delta.num_rows();
-  live.reserve(static_cast<size_t>(total));
-  for (int row = 0; row < total; ++row) {
-    if (tombstones[static_cast<size_t>(row)] != 0) continue;
-    live.emplace_back(row_ids[static_cast<size_t>(row)],
-                      row < base_n ? base->row(row)
-                                   : delta.row(row - base_n));
-  }
-  return live;
+  return LiveRows(*base, delta, tombstones, row_ids);
 }
 
 FrozenEngineState QueryEngine::Freeze() const {
@@ -186,34 +127,7 @@ FrozenEngineState QueryEngine::Freeze() const {
   frozen.delta = delta_;
   frozen.tombstones = tombstones_;
   frozen.row_ids = row_ids_;
-  frozen.ivf = ivf_;
   return frozen;
-}
-
-PersistedIvf PersistIvf(const IvfIndex& ivf,
-                        const std::vector<uint8_t>& tombstones,
-                        const std::vector<int>& row_ids) {
-  PersistedIvf persisted;
-  persisted.num_bits = ivf.centroids().num_bits();
-  const size_t wpc = ivf.centroids().words_per_row();
-  for (int b = 0; b < ivf.num_buckets(); ++b) {
-    PersistedIvfBucket bucket;
-    for (const int row : ivf.posting(b)) {
-      // Persist live rows only, lifted to external ids: the snapshot has no
-      // notion of this engine's physical row space, and tombstoned postings
-      // would violate the reader's live-coverage invariant.
-      if (tombstones[static_cast<size_t>(row)] == 0) {
-        bucket.ids.push_back(row_ids[static_cast<size_t>(row)]);
-      }
-    }
-    // The reader rejects empty buckets, and a bucket emptied by tombstones
-    // carries no information worth restoring.
-    if (bucket.ids.empty()) continue;
-    const uint64_t* words = ivf.centroids().row(b);
-    bucket.centroid_words.assign(words, words + wpc);
-    persisted.buckets.push_back(std::move(bucket));
-  }
-  return persisted;
 }
 
 int QueryEngine::FindLiveRow(int id) const {

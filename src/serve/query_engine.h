@@ -3,35 +3,17 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/histogram.h"
 #include "common/status.h"
-#include "core/index_io.h"
 #include "core/packed_bits.h"
 #include "core/topk.h"
 #include "index/ivf_index.h"
 #include "serve/query_options.h"
 
 namespace gdim {
-
-/// Engine-wide serving knobs, fixed at load time.
-struct ServeOptions {
-  /// Worker threads of the owning ShardedEngine: the pool its scan tiles
-  /// run on (shards run in turn inside a tile) and MapAll's
-  /// fingerprinting; 0 = DefaultThreadCount(). Results are identical for
-  /// every thread count (queries are independent and each query selects in
-  /// HammingTopK's deterministic (distance, row) order).
-  int threads = 0;
-
-  /// Bucket count of the IVF candidate-pruning index behind ScanMode::
-  /// kApprox; 0 picks ceil(sqrt(rows)) per engine (per shard). The index is
-  /// always built — construction cost is one clustering pass over the base
-  /// segment — so MODE=approx works out of the box on any engine.
-  int ivf_buckets = 0;
-};
 
 /// Per-query observability counters from one hot-path execution.
 struct ServeQueryStats {
@@ -93,10 +75,6 @@ struct FrozenEngineState {
   PackedBitMatrix delta;                        ///< copied (small)
   std::vector<uint8_t> tombstones;              ///< copied; base + delta rows
   std::vector<int> row_ids;                     ///< copied; base + delta rows
-  /// Copied IVF layout (centroids + postings, O(n) ints) so a background
-  /// v3 snapshot can persist the IVFX section without touching the live
-  /// index.
-  IvfIndex ivf;
 
   /// Live rows in ascending-id order as (id, packed word pointer) pairs;
   /// pointers address into this capture's own segments and stay valid for
@@ -104,15 +82,6 @@ struct FrozenEngineState {
   /// mutation invalidates).
   std::vector<std::pair<int, const uint64_t*>> LiveRowWords() const;
 };
-
-/// The live (non-tombstoned) postings of `ivf` lifted into external-id
-/// space — the v3 IVFX payload of one shard. Buckets left empty by
-/// tombstones are dropped (the reader rejects empty buckets), so the result
-/// partitions exactly the live ids. tombstones/row_ids are indexed by
-/// physical row, like the shard's own members.
-PersistedIvf PersistIvf(const IvfIndex& ivf,
-                        const std::vector<uint8_t>& tombstones,
-                        const std::vector<int>& row_ids);
 
 /// One shard of a ShardedEngine — the only public engine, which owns every
 /// QueryEngine, routes ids to it, and validates ids and widths at its own
@@ -161,7 +130,7 @@ class QueryEngine {
   /// Buckets of the IVF candidate-pruning index (the `ivf_buckets` STATS
   /// gauge, summed over shards by the sharded engine).
   int ivf_buckets() const { return ivf_.num_buckets(); }
-  /// The index itself, for tests and invariant checks.
+  /// The index itself (perfbench's trace times its Probe).
   const IvfIndex& ivf_index() const { return ivf_; }
 
   /// External ids of the live graphs, ascending (= physical row order).
@@ -189,16 +158,11 @@ class QueryEngine {
 
   /// Adopts `rows` (external ids `ids`, strictly ascending — validated by
   /// the owner) as the sealed base segment, with no unpack/repack round
-  /// trip. When the owner's snapshot carried a persisted IVF layout its
-  /// buckets are adopted instead of re-clustered: postings are in
-  /// external-id space, so the shard keeps exactly the buckets holding ids
-  /// it owns (any shard partition of a snapshot works) after checking they
-  /// cover its rows exactly once. Otherwise the IVF index is built with
-  /// `options.ivf_buckets`.
-  static Result<QueryEngine> FromPacked(PackedBitMatrix rows,
-                                        std::vector<int> ids,
-                                        const std::optional<PersistedIvf>& ivf,
-                                        const ServeOptions& options);
+  /// trip, and builds the IVF index over them (IvfIndex::Build at the
+  /// default bucket count). The index is a pure function of the rows, so
+  /// every construction path — a fresh build, a load of any file, a
+  /// generation swap — clusters identically over the same rows.
+  static QueryEngine FromPacked(PackedBitMatrix rows, std::vector<int> ids);
 
   /// Appends a mapped row under a caller-assigned external id. The owner
   /// has checked the width and that `id` exceeds every id this shard holds.

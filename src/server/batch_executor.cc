@@ -535,7 +535,7 @@ std::vector<std::function<void()>> BatchExecutor::Execute(
   for (Request& r : *batch) queries.push_back(std::move(r.graph));
   WallTimer map_timer;
   std::vector<std::vector<uint8_t>> fingerprints =
-      engine_->mapper().MapAll(queries, engine_->options().serve.threads);
+      engine_->mapper().MapAll(queries, engine_->options().threads);
   const double map_usec = map_timer.Micros();
   h_map_all_->Record(map_usec);
 

@@ -86,12 +86,13 @@ struct ReindexReport {
 /// connections plus mutations — through one dispatcher thread:
 ///
 ///   submit (any thread) → bounded FIFO admission queue → dispatcher pops a
-///   run of up to max_batch queries → one coalesced QueryBatch over the
-///   sharded engine's thread pool → promises fulfilled.
+///   run of up to max_batch queries → one coalesced QueryBatch → promises
+///   fulfilled. At the default max_batch (64) the batch scans on the
+///   dispatcher thread itself (see ShardedOptions::threads).
 ///
 /// Coalescing is what turns N closed-loop connections into packed
-/// multi-query scans (the engine amortizes thread-pool wakeups and keeps
-/// every core on scan work); the single dispatcher is also the mutation
+/// multi-query scans (a MODE=full scan tile loads each row block once for
+/// all of its queries); the single dispatcher is also the mutation
 /// story: Insert/Remove run inline between batches in FIFO order, so the
 /// engine's "mutations are not thread-safe with queries" contract holds
 /// without a lock on the hot path. Snapshot only *freezes* on the

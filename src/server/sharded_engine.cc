@@ -118,9 +118,6 @@ Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
   if (index.next_id >= 0 && index.next_id < min_next_id) {
     return Status::InvalidArgument("index next_id must exceed every id");
   }
-  if (index.ivf.has_value() && index.ivf->num_bits != p) {
-    return Status::InvalidArgument("IVF width does not match the index");
-  }
   const int next_id =
       index.next_id >= 0 ? index.next_id : static_cast<int>(min_next_id);
 
@@ -145,15 +142,9 @@ Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
   }
   engine.shards_.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    // A persisted v3 IVF layout is offered to every shard; each keeps
-    // exactly the buckets holding ids of its partition (the postings are
-    // external-id, so this works at any shard count).
-    Result<QueryEngine> built = QueryEngine::FromPacked(
+    engine.shards_.push_back(QueryEngine::FromPacked(
         std::move(shard_rows[static_cast<size_t>(s)]),
-        std::move(shard_ids[static_cast<size_t>(s)]), index.ivf,
-        options.serve);
-    if (!built.ok()) return built.status();
-    engine.shards_.push_back(std::move(built).value());
+        std::move(shard_ids[static_cast<size_t>(s)])));
   }
   if (index.meta.has_value()) {
     // Restore the persisted generation and raise the epoch sum to at least
@@ -342,27 +333,8 @@ Status ShardedEngine::WriteSnapshot(const FrozenShardedState& frozen,
   meta.generation = frozen.generation;
   meta.epoch = frozen.epoch;
 
-  // The IVFX section concatenates every shard's live buckets in shard
-  // order, postings lifted to external ids. Restore at any shard count
-  // re-partitions by keeping the buckets owning each shard's ids; at an
-  // unchanged count the relative bucket order (and so the probe tiebreak)
-  // is reproduced exactly.
-  PersistedIvf ivf;
-  ivf.num_bits = frozen.features.empty()
-                     ? 0
-                     : static_cast<int>(frozen.features.size());
-  for (const FrozenEngineState& shard : frozen.shards) {
-    PersistedIvf part = PersistIvf(shard.ivf, shard.tombstones,
-                                   shard.row_ids);
-    ivf.num_bits = part.num_bits;
-    for (PersistedIvfBucket& bucket : part.buckets) {
-      ivf.buckets.push_back(std::move(bucket));
-    }
-  }
-
   V3Sections sections;
   sections.meta = &meta;
-  sections.ivf = &ivf;
   if (frozen.store.has_value()) {
     sections.store_ids = &frozen.store->ids;
     sections.store_graphs = &frozen.store->graphs;
@@ -428,7 +400,7 @@ void ShardedEngine::Scan(const std::vector<uint8_t>* fingerprints, int count,
         const double tile_ms = tile_timer.Millis();
         for (int q = 0; q < n; ++q) tile_stats[q].latency_ms = tile_ms;
       },
-      options_.serve.threads);
+      options_.threads);
 }
 
 Ranking ShardedEngine::Query(const Graph& query, const QueryOptions& options,
@@ -456,7 +428,7 @@ std::vector<Ranking> ShardedEngine::QueryBatch(
   // One stage-1 pass over the whole batch, then packed scans only.
   std::vector<ServeQueryStats> stats;
   std::vector<Ranking> results = QueryMappedBatch(
-      mapper_.MapAll(queries, options_.serve.threads), options, nullptr,
+      mapper_.MapAll(queries, options_.threads), options, nullptr,
       &stats);
   FinishBatch(batch_timer.Millis(), std::move(stats), report, per_query);
   return results;

@@ -25,9 +25,16 @@ struct ShardedOptions {
   /// merge reproduces the one-shard score-then-id total order exactly).
   int num_shards = 1;
 
-  /// Per-shard serving options. `serve.threads` also sizes the pool the
-  /// scan tiles run on; the rest is passed through to every shard.
-  ServeOptions serve;
+  /// Worker threads for the scan tiles and for MapAll's fingerprinting;
+  /// 0 = DefaultThreadCount(). ParallelFor runs serially below 64 items, so
+  /// the scan uses the pool only from 64 tiles up (256 queries with the
+  /// scalar kernel's 4-query tiles, 512 with AVX2/AVX-512's 8) and MapAll
+  /// only from 64 queries up. A served batch holds at most max_batch (64
+  /// by default) queries, so at the default every server scan runs on the
+  /// dispatcher thread and MapAll fans out only for a run of exactly 64.
+  /// Results are identical for every thread count (each query selects in
+  /// HammingTopK's deterministic (distance, row) order).
+  int threads = 0;
 };
 
 /// An immutable capture of every shard's live state plus the global
@@ -93,14 +100,14 @@ class ShardedEngine {
                                          ShardedOptions options = {});
 
   /// FromIndex over an index already in the packed scan layout: shard rows
-  /// are split with word-level copies, never through byte vectors. v3
-  /// sections are adopted when present: every shard projects the persisted
-  /// IVF layout onto its own partition (skipping the rebuild), and META
-  /// restores the dimension generation and raises the mutation epoch to at
-  /// least its pre-snapshot value, so epoch-keyed consumers (the result
-  /// cache) can never confuse pre- and post-restart answers. A persisted
-  /// graph store (STOR) is not engine state — the serving tool extracts it
-  /// before calling this.
+  /// are split with word-level copies, never through byte vectors, and
+  /// every shard builds its IVF index over its own rows, so the approx
+  /// layout depends only on the live rows and the shard count. A v3 META
+  /// section restores the dimension generation and raises the mutation
+  /// epoch to at least its pre-snapshot value, so epoch-keyed consumers
+  /// (the result cache) can never confuse pre- and post-restart answers. A
+  /// persisted graph store (STOR) is not engine state — the serving tool
+  /// extracts it before calling this.
   static Result<ShardedEngine> FromPacked(PackedIndex index,
                                           ShardedOptions options = {});
 
@@ -123,9 +130,8 @@ class ShardedEngine {
   /// Rows removed but not yet reclaimed by Compact(), across all shards.
   int tombstoned_rows() const;
   /// IVF candidate-pruning buckets across all shards (the `ivf_buckets`
-  /// STATS gauge). Every shard rebuilds its index on construction (or
-  /// adopts a persisted v3 layout), so a generation swap re-clusters over
-  /// the new generation's fingerprints.
+  /// STATS gauge). Every shard builds its index on construction, so a load
+  /// or a generation swap clusters over the current fingerprints.
   int ivf_buckets() const;
   /// The largest single shard's IVF bucket count: any NPROBE at or above it
   /// makes every shard probe all of its buckets, i.e. behaves exactly like
@@ -216,11 +222,10 @@ class ShardedEngine {
   /// independent, word-level (no byte materialization) — safe on any
   /// thread, concurrent with live mutations, because the capture owns or
   /// shares everything it reads. The file carries DIMS (the merged live
-  /// rows in global id order), META (generation + epoch), the shards' live
-  /// IVF postings lifted to external ids (IVFX, in shard order), and —
-  /// when the capture has one — the frozen graph store (STOR). A reload
-  /// with any shard count keeps serving the same ids and skips the
-  /// O(n·sqrt(n)) IVF rebuild.
+  /// rows in global id order), META (generation + epoch) and — when the
+  /// capture has one — the frozen graph store (STOR). A reload with any
+  /// shard count keeps serving the same ids; its IVF index is rebuilt over
+  /// the reloaded rows.
   static Status WriteSnapshot(const FrozenShardedState& frozen,
                               const std::string& path);
 
@@ -263,7 +268,7 @@ class ShardedEngine {
   /// modes: results[i] and stats[i] answer fingerprints[i], i < count.
   /// Each fingerprint is packed once; the batch is cut into
   /// ActiveScanKernel().tile_width() tiles run under ParallelFor
-  /// (options_.serve.threads); inside a tile every shard in turn runs one
+  /// (options_.threads); inside a tile every shard in turn runs one
   /// QueryEngine::ScanPacked pass over the tile, and each query's integer
   /// survivors are merged across shards (MergeTopK) before sqrt(d / p) is
   /// taken once per returned entry.

@@ -15,6 +15,10 @@
 //  - A generation swap rebuilds every shard's IVF index from the new
 //    generation's fingerprints: zero stale-bucket hits, proven by
 //    bit-comparison against a from-scratch engine at every probe width.
+//  - A snapshot persists no IVF layout: reloaded at the same or another
+//    shard count, an engine answers MODE=approx exactly like a fresh build
+//    over the same live rows at that shard count, and NPROBE=all stays
+//    bit-identical to MODE=full.
 //  - A MODE=approx batch answers every query exactly as the one-query
 //    entry point does, for every batch size around the scan tile width,
 //    shard count, thread count and probe width, over a churned engine.
@@ -118,7 +122,7 @@ PersistedIndex IndexFor(const std::vector<std::vector<uint8_t>>& rows) {
 ShardedOptions Sharded(int num_shards, int threads = 0) {
   ShardedOptions opts;
   opts.num_shards = num_shards;
-  opts.serve.threads = threads;
+  opts.threads = threads;
   return opts;
 }
 
@@ -291,6 +295,62 @@ TEST(ApproxQueryTest, GenerationSwapRebuildsIvfWithZeroStaleBuckets) {
                                            .scan_mode = ScanMode::kApprox,
                                            .nprobe = nprobe}))
           << "q=" << q << " nprobe=" << nprobe;
+    }
+  }
+}
+
+TEST(ApproxQueryTest, SnapshotReloadClustersLikeAFreshBuild) {
+  const Corpus corpus = ClusteredCorpus(/*seed=*/23);
+  const QueryOptions full{.k = kTopK, .scan_mode = ScanMode::kFull};
+  const QueryOptions approx_default{.k = kTopK,
+                                    .scan_mode = ScanMode::kApprox};
+  const QueryOptions approx_all{
+      .k = kTopK, .scan_mode = ScanMode::kApprox, .nprobe = kNprobeAll};
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto engine =
+        ShardedEngine::FromIndex(IndexFor(corpus.rows), Sharded(shards));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ScopedRole writer(&engine->writer_role());
+    // Churn until the live layout (Build + AddRow, tombstones in the
+    // postings) and a fresh clustering of the live rows differ: the live
+    // count grows past the next ceil(sqrt(n)) step, so even the bucket
+    // counts part.
+    Rng rng(24);
+    for (int i = 0; i < 90; ++i) {
+      ASSERT_TRUE(engine
+                      ->InsertMapped(Perturb(
+                          corpus.prototypes[rng.UniformU64(kClusters)],
+                          /*denominator=*/12, &rng))
+                      .ok());
+      if (i % 4 == 0) {
+        const std::vector<int> alive = engine->alive_ids();
+        ASSERT_TRUE(engine->Remove(alive[rng.UniformU64(alive.size())]).ok());
+      }
+    }
+    const std::string path = ::testing::TempDir() + "/gdim_approx_reload_" +
+                             std::to_string(shards) + ".idx";
+    ASSERT_TRUE(engine->Snapshot(path).ok());
+    const PersistedIndex live = engine->ToPersistedIndex();
+
+    for (int reload_shards : {shards, shards + 2}) {
+      SCOPED_TRACE("reload_shards=" + std::to_string(reload_shards));
+      auto reloaded = ShardedEngine::Open(path, Sharded(reload_shards));
+      auto fresh = ShardedEngine::FromIndex(live, Sharded(reload_shards));
+      ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      EXPECT_EQ(reloaded->ivf_buckets(), fresh->ivf_buckets());
+      for (int q = 0; q < 24; ++q) {
+        const std::vector<uint8_t> query =
+            Perturb(corpus.prototypes[static_cast<size_t>(q % kClusters)],
+                    /*denominator=*/10, &rng);
+        EXPECT_EQ(reloaded->QueryMapped(query, approx_default),
+                  fresh->QueryMapped(query, approx_default))
+            << "q=" << q;
+        const Ranking reloaded_full = reloaded->QueryMapped(query, full);
+        EXPECT_EQ(reloaded_full, engine->QueryMapped(query, full));
+        EXPECT_EQ(reloaded->QueryMapped(query, approx_all), reloaded_full);
+      }
     }
   }
 }

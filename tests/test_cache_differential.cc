@@ -102,7 +102,7 @@ void RunChurnInterleaving(int shards, int threads, uint64_t seed) {
 
   ShardedOptions opts;
   opts.num_shards = shards;
-  opts.serve.threads = threads;
+  opts.threads = threads;
   Result<ShardedEngine> engine =
       ShardedEngine::FromIndex(model.ToIndex(), opts);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();

@@ -491,7 +491,7 @@ std::string Section(const char* tag, const std::string& payload) {
 }
 
 /// A 4-row, 9-bit index with sparse external ids — the shared corpus for
-/// the v3 section tests (wpc = 1 keeps handcrafted IVFX payloads short).
+/// the v3 section tests (wpc = 1 keeps handcrafted section payloads short).
 PersistedIndex V3Corpus() {
   Rng rng(53);
   PersistedIndex index = RandomIndex(4, 9, &rng);
@@ -507,8 +507,8 @@ std::string V3BaseBytes() {
   return Slurp(path);
 }
 
-/// A valid IVFX payload for V3Corpus: two buckets covering {3,7} and
-/// {9,40}.
+/// An IVFX payload as older writers emitted it for V3Corpus: two buckets
+/// covering {3,7} and {9,40}. The section is legacy: read and skipped.
 std::string GoodIvfxPayload() {
   return U64(2) + U64(9) + U64(1) +              // buckets, num_bits, wpc
          U64(0x21) + U64(2) + U64(3) + U64(7) +  // centroid, count, ids
@@ -545,24 +545,19 @@ GraphDatabase V3StoreGraphs() {
   return graphs;
 }
 
-/// V3Corpus written with all four sections (generation 5, epoch 77, the
-/// STOR graphs, two IVF buckets); returns the path.
+/// V3Corpus written with every section the writer emits (generation 5,
+/// epoch 77, the STOR graphs); returns the path.
 std::string FullV3File() {
   const PersistedIndex index = V3Corpus();
   const PackedBitMatrix packed = PackedBitMatrix::FromRows(index.db_bits, 9);
   PersistedMeta meta;
   meta.generation = 5;
   meta.epoch = 77;
-  PersistedIvf ivf;
-  ivf.num_bits = 9;
-  ivf.buckets.push_back({{0x21}, {3, 7}});
-  ivf.buckets.push_back({{0x42}, {9, 40}});
   const GraphDatabase store_graphs = V3StoreGraphs();
   V3Sections sections;
   sections.meta = &meta;
   sections.store_ids = &index.ids;
   sections.store_graphs = &store_graphs;
-  sections.ivf = &ivf;
   const std::string path = ::testing::TempDir() + "/gdim_v3_full.idx2";
   GDIM_CHECK(WriteIndexFileV3Words(
                  index.features, 4, 1,
@@ -586,45 +581,31 @@ TEST(IndexIoTest, V3RoundTripCarriesSections) {
   EXPECT_EQ(back->store->ids, index.ids);
   ASSERT_EQ(back->store->graphs.size(), 4u);
   EXPECT_EQ(back->store->graphs[2], V3StoreGraphs()[2]);
-  ASSERT_TRUE(back->ivf.has_value());
-  EXPECT_EQ(back->ivf->num_bits, 9);
-  ASSERT_EQ(back->ivf->buckets.size(), 2u);
-  EXPECT_EQ(back->ivf->buckets[0].centroid_words, std::vector<uint64_t>{0x21});
-  EXPECT_EQ(back->ivf->buckets[0].ids, (std::vector<int>{3, 7}));
-  EXPECT_EQ(back->ivf->buckets[1].ids, (std::vector<int>{9, 40}));
 
-  // An engine opened from the file adopts the persisted generation, epoch
-  // and IVF layout, and the byte-view reader still accepts the file
-  // (sections validated, dropped).
+  // An engine opened from the file adopts the persisted generation and
+  // epoch, and the byte-view reader still accepts the file (sections
+  // validated, dropped).
   auto engine = ShardedEngine::Open(path);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_EQ(engine->generation(), 5u);
   EXPECT_EQ(engine->epoch(), 77u);
-  EXPECT_EQ(engine->ivf_buckets(), 2);
   ASSERT_TRUE(ReadIndexFile(path).ok());
 }
 
 TEST(IndexIoTest, ConvertKeepsEveryV3SectionByteForByte) {
-  // A file with DIMS + META + STOR + IVFX through the convert path: the
-  // sections come back equal and the bytes identical.
+  // A file with DIMS + META + STOR through the convert path: the sections
+  // come back equal and the bytes identical.
   const std::string in = FullV3File();
   const std::string out = ::testing::TempDir() + "/gdim_v3_converted.idx";
   Convert(in, out);
   Result<PackedIndex> a = ReadIndexFilePacked(in);
   Result<PackedIndex> b = ReadIndexFilePacked(out);
   ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_TRUE(b->meta.has_value() && b->store.has_value() &&
-              b->ivf.has_value());
+  ASSERT_TRUE(b->meta.has_value() && b->store.has_value());
   EXPECT_EQ(b->meta->generation, a->meta->generation);
   EXPECT_EQ(b->meta->epoch, a->meta->epoch);
   EXPECT_EQ(b->store->ids, a->store->ids);
   EXPECT_EQ(b->store->graphs, a->store->graphs);
-  ASSERT_EQ(b->ivf->buckets.size(), a->ivf->buckets.size());
-  for (size_t i = 0; i < a->ivf->buckets.size(); ++i) {
-    EXPECT_EQ(b->ivf->buckets[i].centroid_words,
-              a->ivf->buckets[i].centroid_words);
-    EXPECT_EQ(b->ivf->buckets[i].ids, a->ivf->buckets[i].ids);
-  }
   EXPECT_EQ(b->ids, a->ids);
   EXPECT_EQ(b->next_id, a->next_id);
   EXPECT_EQ(Slurp(out), Slurp(in));
@@ -654,25 +635,6 @@ TEST(IndexIoTest, V3WriterMirrorsReaderValidation) {
   short_store.store_ids = &three_ids;
   short_store.store_graphs = &three_graphs;
   EXPECT_EQ(write(short_store).code(), StatusCode::kInvalidArgument);
-
-  // IVF postings must cover every id exactly once, with matching width.
-  PersistedIvf ivf;
-  ivf.num_bits = 9;
-  ivf.buckets.push_back({{0x21}, {3, 7}});
-  V3Sections uncovered;
-  uncovered.ivf = &ivf;
-  EXPECT_EQ(write(uncovered).code(), StatusCode::kInvalidArgument);
-
-  ivf.buckets.push_back({{0x42}, {9, 40, 41}});  // 41 is not a row
-  EXPECT_EQ(write(uncovered).code(), StatusCode::kInvalidArgument);
-
-  ivf.buckets[1] = {{0x42}, {9, 40}};
-  ivf.num_bits = 8;
-  EXPECT_EQ(write(uncovered).code(), StatusCode::kInvalidArgument);
-
-  ivf.num_bits = 9;
-  ivf.buckets.push_back({{0x13}, {}});  // empty bucket
-  EXPECT_EQ(write(uncovered).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(IndexIoTest, V3RejectsHostileSectionFraming) {
@@ -743,43 +705,63 @@ TEST(IndexIoTest, V3RejectsHostileSectionPayloads) {
   // Text length must be exactly the rest of the section.
   EXPECT_EQ(ReadCode(path, base + Section("STOR", stor + "x")),
             StatusCode::kParseError);
+}
 
-  // IVFX: the good payload loads; every single-field corruption is typed.
-  const std::string ivfx = GoodIvfxPayload();
-  ASSERT_EQ(ReadCode(path, base + Section("IVFX", ivfx)), StatusCode::kOk);
+TEST(IndexIoTest, LegacyIvfxSectionIsSkipped) {
+  // Older writers persisted the IVF layout as an IVFX section. The layout
+  // is derived from the rows, so the reader skips the payload, the engine
+  // rebuilds its index, and convert drops the section.
+  const std::string base = V3BaseBytes();
+  const std::string plain = ::testing::TempDir() + "/gdim_v3_plain.idx";
+  const std::string legacy = ::testing::TempDir() + "/gdim_v3_ivfx.idx";
+  Spit(plain, base);
+  Spit(legacy, base + Section("IVFX", GoodIvfxPayload()));
 
-  const auto patched = [&](size_t offset, char value) {
-    std::string bytes = ivfx;
-    bytes[offset] = value;
-    return base + Section("IVFX", bytes);
-  };
-  EXPECT_EQ(ReadCode(path, patched(8, 8)),    // num_bits 9 -> 8
+  // Convert writes no IVFX: the output is the DIMS-only file verbatim, so
+  // the rows, ids and id counter read back exactly as without the section.
+  const std::string out = ::testing::TempDir() + "/gdim_v3_ivfx_conv.idx";
+  Convert(legacy, out);
+  EXPECT_EQ(Slurp(out), base);
+
+  // Served answers ignore the section: MODE=full and MODE=approx at the
+  // default NPROBE match the same file without it, at every shard count.
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedOptions opts;
+    opts.num_shards = shards;
+    auto without = ShardedEngine::Open(plain, opts);
+    auto with = ShardedEngine::Open(legacy, opts);
+    ASSERT_TRUE(without.ok()) << without.status().ToString();
+    ASSERT_TRUE(with.ok()) << with.status().ToString();
+    EXPECT_EQ(with->ivf_buckets(), without->ivf_buckets());
+    Rng rng(59);
+    for (int q = 0; q < 16; ++q) {
+      std::vector<uint8_t> query(9);
+      for (auto& bit : query) bit = rng.UniformU64(2) != 0 ? 1 : 0;
+      for (const QueryOptions& options :
+           {QueryOptions{.k = 3, .scan_mode = ScanMode::kFull},
+            QueryOptions{.k = 3, .scan_mode = ScanMode::kApprox}}) {
+        EXPECT_EQ(with->QueryMapped(query, options),
+                  without->QueryMapped(query, options))
+            << "q=" << q;
+      }
+    }
+  }
+
+  // The skip is still framed: an IVFX claiming more bytes than the file
+  // holds, or one ahead of DIMS, is rejected like any other section.
+  const std::string path = ::testing::TempDir() + "/gdim_v3_ivfx_bad.idx";
+  EXPECT_EQ(ReadCode(path, base + std::string("IVFX") + U64(1000)),
             StatusCode::kParseError);
-  EXPECT_EQ(ReadCode(path, patched(16, 2)),   // wpc 1 -> 2
+  EXPECT_EQ(ReadCode(path, base.substr(0, 16) +
+                               Section("IVFX", GoodIvfxPayload()) +
+                               base.substr(16)),
             StatusCode::kParseError);
-  EXPECT_EQ(ReadCode(path, patched(32, 0)),   // bucket 0 posting count -> 0
-            StatusCode::kParseError);
-  EXPECT_EQ(ReadCode(path, patched(40, 5)),   // posting id 3 -> 5 (not live)
-            StatusCode::kParseError);
-  EXPECT_EQ(ReadCode(path, patched(48, 9)),   // id 7 -> 9: duplicated by
-            StatusCode::kParseError);          // bucket 1's first posting
-  EXPECT_EQ(ReadCode(path, patched(48, 3)),   // ids 3,3: not ascending
-            StatusCode::kParseError);
-  EXPECT_EQ(ReadCode(path, patched(0, 1)),    // bucket count 2 -> 1 leaves
-            StatusCode::kParseError);          // bucket 1 as trailing bytes
-  // Coverage shortfall: a single well-formed bucket, so {9, 40} would be
-  // unreachable by any probe.
-  const std::string half = U64(1) + U64(9) + U64(1) +
-                           U64(0x21) + U64(2) + U64(3) + U64(7);
-  EXPECT_EQ(ReadCode(path, base + Section("IVFX", half)),
-            StatusCode::kParseError);
-  // A bucket count far beyond what the section could hold.
-  EXPECT_EQ(ReadCode(path, patched(0, 0x7F)), StatusCode::kParseError);
 }
 
 TEST(IndexIoTest, V2FilesLoadWithoutSections) {
   // The pre-v3 degraded path: a v2 snapshot still loads, with no META (the
-  // generation/epoch restart at zero), no STOR, and no IVFX.
+  // generation/epoch restart at zero) and no STOR.
   const PersistedIndex index = V3Corpus();
   const std::string path = ::testing::TempDir() + "/gdim_v2_compat.idx2";
   WriteV2IndexFile(index, path);
@@ -787,7 +769,6 @@ TEST(IndexIoTest, V2FilesLoadWithoutSections) {
   ASSERT_TRUE(packed.ok()) << packed.status().ToString();
   EXPECT_FALSE(packed->meta.has_value());
   EXPECT_FALSE(packed->store.has_value());
-  EXPECT_FALSE(packed->ivf.has_value());
   EXPECT_EQ(packed->ids, index.ids);
   // Opened as an engine it serves the rows, at generation and epoch 0, with
   // a freshly built IVF index.

@@ -205,7 +205,7 @@ TEST(ReindexDifferentialTest, SwapMatchesOfflineRebuild) {
                    std::to_string(threads));
       ShardedOptions engine_opts;
       engine_opts.num_shards = shards;
-      engine_opts.serve.threads = threads;
+      engine_opts.threads = threads;
       auto engine = ShardedEngine::FromIndex(index, engine_opts);
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
       GraphStore store = StoreOf(corpus);

@@ -3,10 +3,11 @@
 // that wrote it. The snapshot is taken mid-churn, after two REINDEX
 // generation swaps; the restarted engine must restore the dimension
 // generation and mutation epoch, seed its graph store from the STOR
-// section, adopt the persisted IVF layout without a rebuild, and answer
-// MODE=full and MODE=approx/NPROBE=all probes bit-identically — at shards
-// {1, 4} x threads {1, 8}. The v2 escape hatch documents the pre-v3
-// degraded behavior (generation and epoch restart at zero).
+// section, rebuild its IVF index as a fresh build over the same rows
+// would, and answer MODE=full and MODE=approx/NPROBE=all probes
+// bit-identically — at shards {1, 4} x threads {1, 8}. The v2 escape
+// hatch documents the pre-v3 degraded behavior (generation and epoch
+// restart at zero).
 
 #include <gtest/gtest.h>
 
@@ -97,7 +98,7 @@ TEST(RestartDifferentialTest, V3SnapshotRestartIsBitIdentical) {
                    " threads=" + std::to_string(threads));
       ShardedOptions engine_opts;
       engine_opts.num_shards = shards;
-      engine_opts.serve.threads = threads;
+      engine_opts.threads = threads;
       auto engine = ShardedEngine::FromIndex(index, engine_opts);
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
       GraphStore store = StoreOf(corpus);
@@ -165,15 +166,21 @@ TEST(RestartDifferentialTest, V3SnapshotRestartIsBitIdentical) {
 
       // Restart from the file alone — the original store and engine are
       // gone. The STOR section seeds the new store; META restores the
-      // generation and epoch; IVFX is adopted, not rebuilt.
+      // generation and epoch; the IVF index is rebuilt from the rows.
       Result<PackedIndex> packed = ReadIndexFilePacked(path);
       ASSERT_TRUE(packed.ok()) << packed.status().ToString();
       ASSERT_TRUE(packed->meta.has_value());
       ASSERT_TRUE(packed->store.has_value());
-      ASSERT_TRUE(packed->ivf.has_value());
       EXPECT_EQ(packed->meta->generation, 2u);
       EXPECT_EQ(packed->meta->epoch, epoch_before);
-      const size_t persisted_buckets = packed->ivf->buckets.size();
+      // The fresh build a restart must equal: the file's rows, ids and id
+      // counter, with no sections.
+      PackedIndex rows_only = *packed;
+      rows_only.meta.reset();
+      rows_only.store.reset();
+      auto fresh_build =
+          ShardedEngine::FromPacked(std::move(rows_only), engine_opts);
+      ASSERT_TRUE(fresh_build.ok()) << fresh_build.status().ToString();
 
       GraphStore store2;
       {
@@ -189,12 +196,11 @@ TEST(RestartDifferentialTest, V3SnapshotRestartIsBitIdentical) {
           ShardedEngine::FromPacked(std::move(*packed), engine_opts);
       ASSERT_TRUE(engine2.ok()) << engine2.status().ToString();
 
-      // Adopted, not rebuilt: at an unchanged shard count every persisted
-      // bucket returns to the shard that wrote it, so the bucket count is
-      // exactly the file's (a rebuild would re-cluster to ceil(sqrt(n))
-      // buckets per shard and lose the churned layout).
-      EXPECT_EQ(static_cast<size_t>(engine2->ivf_buckets()),
-                persisted_buckets);
+      // Rebuilt, not adopted: the IVF index is a pure function of the
+      // rows and the shard count, so the bucket count equals a fresh
+      // build's (ceil(sqrt(n)) per shard), whatever the churned layout of
+      // the process that wrote the file.
+      EXPECT_EQ(engine2->ivf_buckets(), fresh_build->ivf_buckets());
       EXPECT_EQ(engine2->generation(), 2u);
       EXPECT_EQ(engine2->epoch(), epoch_before);
 

@@ -163,7 +163,7 @@ TEST(LatencySummaryTest, PercentilesUseNearestRank) {
 
 ShardedOptions Threads(int threads) {
   ShardedOptions opts;
-  opts.serve.threads = threads;
+  opts.threads = threads;
   return opts;
 }
 

@@ -29,7 +29,7 @@ using testing_util::ExpectEngineMatchesBruteForce;
 ShardedOptions Sharded(int num_shards, int threads = 0) {
   ShardedOptions opts;
   opts.num_shards = num_shards;
-  opts.serve.threads = threads;
+  opts.threads = threads;
   return opts;
 }
 

@@ -19,8 +19,8 @@
 // v1 text, v2 binary and v3 sectioned files (auto-detected), and every
 // writer — build, update, convert — emits v3, the only format written.
 // serve-net restarted from a v3 snapshot alone resumes the graph store,
-// dimension generation, epoch, and IVF layout — no --db needed; update
-// carries all of them through.
+// dimension generation and epoch — no --db needed; update carries all of
+// them through. The IVF index is rebuilt from the rows at every load.
 
 #include <algorithm>
 #include <cctype>
@@ -69,18 +69,21 @@ int Usage() {
       "--minsup=0.05 --maxedges=7 --seed=S]\n"
       "  query    --index=FILE --db=FILE --queries=FILE [--k=10]\n"
       "  serve    --index=FILE --queries=FILE [--k=10 --threads=N "
-      "--shards=N --ivf-buckets=N --quiet]\n"
+      "--shards=N --quiet]\n"
       "  serve-net --index=FILE [--host=127.0.0.1 --port=0 --shards=1 "
       "--queue=256 --batch=64 --threads=N --max-conns=256 --cache-mb=64 "
-      "--ivf-buckets=N --db=GRAPHS --reindex-every=N "
+      "--db=GRAPHS --reindex-every=N "
       "--reindex-selector=DSPMap --reindex-p=0 --reindex-minsup=0.05 "
       "--reindex-maxedges=7 --slow-query-usec=0]\n"
       "  bench-query --index=FILE --queries=FILE [--k=10 --threads=N "
-      "--shards=N --ivf-buckets=N --repeat=5]\n"
+      "--shards=N --repeat=5]\n"
       "  update   --index=FILE --out=FILE [--insert=GRAPHS --remove=I,J,... "
       "--compact]\n"
       "  convert  --in=FILE --out=FILE   (upgrade any index file to v3)\n"
       "  stats    --db=FILE\n"
+      "--threads sizes the pool for MapAll runs of >= 64 queries and scans "
+      "of >= 64 tiles (256 queries, 512 with AVX2/AVX-512), so serve-net at "
+      "the default --batch=64 always scans on the dispatcher thread\n"
       "index files are written as v3 only; v1/v2 files are still read\n");
   return 2;
 }
@@ -270,11 +273,7 @@ Result<ShardedOptions> ShardedOptionsFromFlags(const Flags& flags) {
   Result<int> shards = ValidatedRange(flags, "shards", 1, 1, 4096);
   if (!shards.ok()) return shards.status();
   opts.num_shards = *shards;
-  opts.serve.threads = *threads;
-  // 0 keeps the per-shard default of ceil(sqrt(rows)) IVF buckets.
-  Result<int> ivf = ValidatedRange(flags, "ivf-buckets", 0, 0, 1 << 20);
-  if (!ivf.ok()) return ivf.status();
-  opts.serve.ivf_buckets = *ivf;
+  opts.threads = *threads;
   return opts;
 }
 
@@ -357,7 +356,7 @@ int RunBenchQuery(const Flags& flags) {
       "threads=%d: best %.0f qps, batch %s\n",
       repeat, queries.size(), engine->num_graphs(), engine->num_features(),
       engine->num_shards(), k,
-      engine->options().serve.threads > 0 ? engine->options().serve.threads
+      engine->options().threads > 0 ? engine->options().threads
                                           : DefaultThreadCount(),
       best_qps, FormatLatencySummaryMs(batches).c_str());
   return 0;
@@ -450,7 +449,7 @@ int RunServeNet(const Flags& flags) {
   WallTimer load_timer;
   // Read the file once in packed form so v3 sections can be split between
   // their consumers: the graph store (STOR) belongs to the tool, everything
-  // else (DIMS/META/IVFX) to the engine.
+  // else (DIMS/META) to the engine.
   Result<PackedIndex> packed = ReadIndexFilePacked(index_path);
   if (!packed.ok()) return Fail(packed.status());
   const bool has_meta = packed->meta.has_value();
@@ -606,8 +605,8 @@ int RunUpdate(const Flags& flags) {
     return Usage();
   }
   // Read packed, like serve-net, so every v3 section survives the update:
-  // META (generation, epoch) and IVFX through the engine, STOR through a
-  // graph store kept in lockstep with the engine's rows.
+  // META (generation, epoch) through the engine, STOR through a graph
+  // store kept in lockstep with the engine's rows.
   Result<PackedIndex> packed = ReadIndexFilePacked(index_path);
   if (!packed.ok()) return Fail(packed.status());
   std::optional<PersistedStore> snapshot_store = std::move(packed->store);
@@ -692,17 +691,17 @@ int RunConvert(const Flags& flags) {
   const std::string out = flags.GetString("out", "");
   if (in.empty() || out.empty() || FormatFlagGiven(flags)) return Usage();
   WallTimer timer;
-  // The packed read keeps every v3 section, so converting a v3 file is a
-  // byte-identical copy and a v1/v2 file becomes a DIMS-only v3 file.
+  // The packed read keeps every v3 section this writer emits, so
+  // converting such a file is a byte-identical copy; a v1/v2 file becomes
+  // a DIMS-only v3 file, and an older writer's IVFX section is dropped.
   Result<PackedIndex> index = ReadIndexFilePacked(in);
   if (!index.ok()) return Fail(index.status());
   Status s = WritePackedIndexFile(*index, out);
   if (!s.ok()) return Fail(s);
   std::printf(
-      "converted %s -> %s (v3: DIMS%s%s%s, %d graphs x %zu dims) in %.2fs\n",
+      "converted %s -> %s (v3: DIMS%s%s, %d graphs x %zu dims) in %.2fs\n",
       in.c_str(), out.c_str(), index->meta.has_value() ? "+META" : "",
-      index->store.has_value() ? "+STOR" : "",
-      index->ivf.has_value() ? "+IVFX" : "", index->rows.num_rows(),
+      index->store.has_value() ? "+STOR" : "", index->rows.num_rows(),
       index->features.size(), timer.Seconds());
   return 0;
 }

@@ -9,7 +9,11 @@
 #   - STATS dimension_generation and epoch match the pre-kill values
 #     (a v2-era restart would report 0 for both),
 #   - QUERY answers — MODE=full and MODE=approx NPROBE=all — are
-#     byte-identical to the pre-kill responses,
+#     byte-identical to the pre-kill responses. The snapshot carries no IVF
+#     layout: the restarted server rebuilds it from the rows, so its
+#     MODE=approx answers at the default NPROBE are those of a fresh build
+#     over the same live rows, not of the churned pre-kill layout. Only
+#     NPROBE=all (which probes every bucket) is compared byte for byte,
 #   - REINDEX still works, fed by the snapshot's own store section,
 #   - the restart log carries no missing-metadata WARN. `build` writes
 #     META {generation 0, epoch 0}, so the cold start is quiet too; a
